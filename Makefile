@@ -72,9 +72,12 @@ loadgen-smoke:
 	$(GO) run ./cmd/rrs-loadgen -local 3 -levels 1,2,4 -jobs-per-client 4 \
 		-cache-fraction 0.25 -out BENCH_PR8.fleet.json
 
-# fuzz hammers the spec decode/normalize/hash pipeline briefly.
+# fuzz hammers the spec decode/normalize/hash pipeline briefly, then
+# cross-checks the table-driven PRINCE against its reference core under
+# fuzzed keys.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSpecDecode -fuzztime 30s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzCipherMatchesReference -fuzztime 10s ./internal/prince/
 
 # serve starts the simulation job service on :8080.
 serve:

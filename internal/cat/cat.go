@@ -54,6 +54,10 @@ type slot[V any] struct {
 // larger banks alias 2^(bits) apart, which row locality makes rare.
 const idxCacheBits = 13
 
+// maxBitsetKeys bounds the presence bitset at 512 KiB so adversarial
+// 64-bit keys (fuzzers, tests) cannot balloon it.
+const maxBitsetKeys = 1 << 22
+
 // setPair memoizes the two candidate set indices of one key. s0 == -1
 // marks an empty entry (valid indices are non-negative).
 type setPair struct {
@@ -77,6 +81,14 @@ type Table[V any] struct {
 	// exactness-preserving; it exists because the two PRINCE evaluations
 	// dominate the lookup cost and row accesses are heavily repetitive.
 	idxCache []setPair
+	// present is an exact membership bitset over small keys: bit k is set
+	// iff key k is stored. Both owners look up far more absent keys than
+	// present ones (a few thousand RIT tuples or tracked rows against a
+	// bank's rows), so a miss answers from one bit probe instead of two
+	// set scans behind two keyed hashes. Keys >= maxBitsetKeys are only
+	// counted in bigKeys and always take the set scan.
+	present []uint64
+	bigKeys int
 	// conflicts counts installs that found both candidate sets full
 	// (before cuckoo relocation).
 	conflicts int
@@ -139,6 +151,43 @@ func (t *Table[V]) setsOf(key uint64) (int, int) {
 	return s0, s1
 }
 
+// mightContain is the bit-probe fast path: false means key is certainly
+// absent; true means the sets must be scanned (and, for keys under the
+// bitset bound, the scan is a guaranteed hit).
+func (t *Table[V]) mightContain(key uint64) bool {
+	if key < maxBitsetKeys {
+		w := key >> 6
+		return w < uint64(len(t.present)) && t.present[w]&(1<<(key&63)) != 0
+	}
+	return t.bigKeys > 0
+}
+
+// presenceWord returns the bitset word holding the bit of key (which must
+// be under maxBitsetKeys), growing the bitset as needed.
+func (t *Table[V]) presenceWord(key uint64) *uint64 {
+	w := key >> 6
+	if w >= uint64(len(t.present)) {
+		grown := make([]uint64, min(2*(w+1), maxBitsetKeys/64))
+		copy(grown, t.present)
+		t.present = grown
+	}
+	return &t.present[w]
+}
+
+// markPresent records key's arrival (on) or departure in the bitset.
+func (t *Table[V]) markPresent(key uint64, on bool) {
+	switch {
+	case key >= maxBitsetKeys && on:
+		t.bigKeys++
+	case key >= maxBitsetKeys:
+		t.bigKeys--
+	case on:
+		*t.presenceWord(key) |= 1 << (key & 63)
+	default:
+		*t.presenceWord(key) &^= 1 << (key & 63)
+	}
+}
+
 // setSlots returns the slot slice for set s of table ti.
 func (t *Table[V]) setSlots(ti, s int) []slot[V] {
 	w := t.spec.Ways
@@ -158,6 +207,9 @@ func (t *Table[V]) Lookup(key uint64) *V {
 // SetMin counters) can update exactly the affected set. val is nil when
 // key is absent; ti and s are then meaningless.
 func (t *Table[V]) LookupPos(key uint64) (ti, s int, val *V) {
+	if !t.mightContain(key) {
+		return 0, 0, nil
+	}
 	s0, s1 := t.setsOf(key)
 	ss := t.setSlots(0, s0)
 	for i := range ss {
@@ -181,7 +233,8 @@ func (t *Table[V]) Contains(key uint64) bool { return t.Lookup(key) != nil }
 // value. It returns nil if both candidate sets are full and cuckoo
 // relocation cannot free a way (a CAT conflict — with 6 extra ways the
 // paper shows this takes ~1e30 installs). Installing a key that is already
-// present is a caller bug and panics.
+// present is a caller bug and panics; the presence bitset keeps that check
+// at one bit probe for keys under its bound.
 func (t *Table[V]) Install(key uint64, val V) *V {
 	_, _, vp := t.InstallPos(key, val)
 	return vp
@@ -218,6 +271,7 @@ func (t *Table[V]) InstallPos(key uint64, val V) (ti, s int, vp *V) {
 			ss[i] = slot[V]{key: key, val: val, valid: true}
 			t.invalid[ti][s]--
 			t.size++
+			t.markPresent(key, true)
 			return ti, s, &ss[i].val
 		}
 	}
@@ -256,27 +310,42 @@ func (t *Table[V]) relocate(s0, s1 int) bool {
 
 // Delete removes key and reports whether it was present.
 func (t *Table[V]) Delete(key uint64) bool {
-	_, _, ok := t.DeletePos(key)
-	return ok
-}
-
-// DeletePos is Delete returning also the table index and set the entry
-// was removed from (meaningless when ok is false).
-func (t *Table[V]) DeletePos(key uint64) (ti, s int, ok bool) {
+	if !t.mightContain(key) {
+		return false
+	}
 	s0, s1 := t.setsOf(key)
 	for ti, s := range [2]int{s0, s1} {
 		ss := t.setSlots(ti, s)
 		for i := range ss {
 			if ss[i].valid && ss[i].key == key {
-				var zero slot[V]
-				ss[i] = zero
-				t.invalid[ti][s]++
-				t.size--
-				return ti, s, true
+				t.remove(ti, s, i)
+				return true
 			}
 		}
 	}
-	return 0, 0, false
+	return false
+}
+
+// DeleteAt removes the entry in way `way` of set s of table ti — a slot
+// the caller located through ForEachInSet — without re-hashing its key,
+// and returns that key. It panics if the slot holds no entry.
+func (t *Table[V]) DeleteAt(ti, s, way int) uint64 {
+	sl := &t.setSlots(ti, s)[way]
+	if !sl.valid {
+		panic(fmt.Sprintf("cat: DeleteAt of invalid slot (table %d, set %d, way %d)", ti, s, way))
+	}
+	key := sl.key
+	t.remove(ti, s, way)
+	return key
+}
+
+// remove invalidates the valid slot at (ti, s, way).
+func (t *Table[V]) remove(ti, s, way int) {
+	sl := &t.setSlots(ti, s)[way]
+	t.markPresent(sl.key, false)
+	*sl = slot[V]{}
+	t.invalid[ti][s]++
+	t.size--
 }
 
 // ForEach calls fn for every valid entry until fn returns false. The value
@@ -346,6 +415,8 @@ func (t *Table[V]) Clear() {
 		}
 	}
 	t.size = 0
+	clear(t.present)
+	t.bigKeys = 0
 }
 
 // SetsOf returns the two candidate set indices (in table 0 and table 1)
@@ -356,12 +427,13 @@ func (t *Table[V]) SetsOf(key uint64) (s0, s1 int) {
 }
 
 // ForEachInSet calls fn for every valid entry in set s of table ti until
-// fn returns false.
-func (t *Table[V]) ForEachInSet(ti, s int, fn func(key uint64, val *V) bool) {
+// fn returns false. way is the entry's position in the set, which DeleteAt
+// accepts.
+func (t *Table[V]) ForEachInSet(ti, s int, fn func(way int, key uint64, val *V) bool) {
 	ss := t.setSlots(ti, s)
 	for i := range ss {
 		if ss[i].valid {
-			if !fn(ss[i].key, &ss[i].val) {
+			if !fn(i, ss[i].key, &ss[i].val) {
 				return
 			}
 		}

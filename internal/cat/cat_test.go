@@ -359,3 +359,106 @@ func BenchmarkLookupMiss(b *testing.B) {
 		tab.Lookup(uint64(i%3400) + (1 << 20))
 	}
 }
+
+// TestPresenceExact drives installs, deletes, DeleteAt, cuckoo
+// relocations and Clear through a small, crowded table and checks after
+// every step that the miss-path bitset agrees exactly with membership —
+// for keys under the bitset bound and for keys over it.
+func TestPresenceExact(t *testing.T) {
+	tab := New[uint64](Spec{Sets: 4, Ways: 3}, 11)
+	rng := prince.Seeded(4)
+	oracle := make(map[uint64]bool)
+	universe := make([]uint64, 0, 64)
+	for i := uint64(0); i < 32; i++ {
+		universe = append(universe, i*37, maxBitsetKeys+i<<30)
+	}
+	check := func(step int, op string) {
+		t.Helper()
+		if err := tab.CheckInvariants(); err != nil {
+			t.Fatalf("step %d (%s): %v", step, op, err)
+		}
+		for _, k := range universe {
+			if got := tab.Contains(k); got != oracle[k] {
+				t.Fatalf("step %d (%s): Contains(%#x) = %v, oracle %v", step, op, k, got, oracle[k])
+			}
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		k := universe[rng.Intn(len(universe))]
+		var op string
+		switch r := rng.Intn(20); {
+		case r == 0:
+			op = "clear"
+			tab.Clear()
+			clear(oracle)
+		case r < 4:
+			op = "delete-at"
+			ti, s := rng.Intn(2), rng.Intn(4)
+			tab.ForEachInSet(ti, s, func(way int, key uint64, _ *uint64) bool {
+				if got := tab.DeleteAt(ti, s, way); got != key {
+					t.Fatalf("DeleteAt returned %#x, slot held %#x", got, key)
+				}
+				delete(oracle, key)
+				return false
+			})
+		case oracle[k]:
+			op = "delete"
+			if !tab.Delete(k) {
+				t.Fatalf("step %d: Delete(%#x) missed a present key", step, k)
+			}
+			delete(oracle, k)
+		default:
+			op = "install"
+			if tab.Install(k, k) != nil {
+				oracle[k] = true
+			}
+		}
+		check(step, op)
+	}
+	if tab.Relocations() == 0 {
+		t.Fatal("no cuckoo relocation happened; the test does not cover one")
+	}
+}
+
+// TestDuplicateInstallPanicsLargeKey covers the duplicate check for keys
+// over the bitset bound, which falls back to the set scan.
+func TestDuplicateInstallPanicsLargeKey(t *testing.T) {
+	tab := newSmall(t)
+	tab.Install(maxBitsetKeys+5, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on duplicate install")
+		}
+	}()
+	tab.Install(maxBitsetKeys+5, 2)
+}
+
+func TestDeleteAtInvalidWayPanics(t *testing.T) {
+	tab := newSmall(t)
+	ti, s, _ := tab.InstallPos(3, 1)
+	way := -1
+	tab.ForEachInSet(ti, s, func(w int, _ uint64, _ *int) bool { way = w; return false })
+	tab.DeleteAt(ti, s, way)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on DeleteAt of an invalid way")
+		}
+	}()
+	tab.DeleteAt(ti, s, way)
+}
+
+// BenchmarkInstallDelete is the tracker's eviction churn on the paper's
+// tracker geometry: 1700 resident keys, every iteration installs a fresh
+// key and deletes the oldest, so the set-index memo mostly misses.
+func BenchmarkInstallDelete(b *testing.B) {
+	const live, span = 1700, 1 << 17
+	tab := New[int64](Spec{Sets: 64, Ways: 20}, 1)
+	for i := uint64(0); i < live; i++ {
+		tab.Install(i, 1)
+	}
+	b.ResetTimer()
+	for i := uint64(0); i < uint64(b.N); i++ {
+		tab.Install((i+live)%span, 1)
+		tab.Delete(i % span)
+	}
+}

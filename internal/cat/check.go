@@ -1,6 +1,8 @@
 package cat
 
 import (
+	"math/bits"
+
 	"repro/internal/invariant"
 )
 
@@ -15,6 +17,8 @@ import (
 //   - cat/memo: every populated set-index memo entry agrees with a fresh
 //     evaluation of both hash functions and sits in the memo slot its
 //     key's low bits select.
+//   - cat/presence: the miss-path bitset and large-key counter agree
+//     exactly with table membership (see CheckPresence).
 //
 // Cost is O(slots + memo); the paranoid engine runs it on a cadence.
 func (t *Table[V]) CheckInvariants() error {
@@ -71,6 +75,45 @@ func (t *Table[V]) CheckInvariants() error {
 				e.key, e.s0, e.s1, s0, s1)
 		}
 	}
+	return t.CheckPresence()
+}
+
+// CheckPresence verifies the cat/presence invariant alone: every stored
+// key under the bitset bound has its bit set, the large-key counter equals
+// the number of stored keys over the bound, and no other bit is set. It
+// costs O(slots + bitset words) and hashes nothing, so owners that do not
+// run the full CheckInvariants sweep can still check the miss path.
+func (t *Table[V]) CheckPresence() error {
+	big, valid := 0, 0
+	for ti := 0; ti < 2; ti++ {
+		for i := range t.slots[ti] {
+			sl := &t.slots[ti][i]
+			if !sl.valid {
+				continue
+			}
+			valid++
+			if sl.key >= maxBitsetKeys {
+				big++
+				continue
+			}
+			if w := sl.key >> 6; w >= uint64(len(t.present)) || t.present[w]&(1<<(sl.key&63)) == 0 {
+				return invariant.Violatedf("cat/presence",
+					"key %#x is stored but its presence bit is clear", sl.key)
+			}
+		}
+	}
+	if big != t.bigKeys {
+		return invariant.Violatedf("cat/presence",
+			"large-key counter %d, stored keys over the bitset bound %d", t.bigKeys, big)
+	}
+	set := 0
+	for _, w := range t.present {
+		set += bits.OnesCount64(w)
+	}
+	if set != valid-big {
+		return invariant.Violatedf("cat/presence",
+			"%d presence bits set for %d stored keys under the bitset bound", set, valid-big)
+	}
 	return nil
 }
 
@@ -100,13 +143,28 @@ func (t *Table[V]) CorruptInvalidCountForTest(ti, s, delta int) {
 // CorruptSizeForTest skews the size counter.
 func (t *Table[V]) CorruptSizeForTest(delta int) { t.size += delta }
 
+// CorruptPresenceForTest flips key's presence bit (keys under the bitset
+// bound only).
+func (t *Table[V]) CorruptPresenceForTest(key uint64) {
+	if key < maxBitsetKeys {
+		*t.presenceWord(key) ^= 1 << (key & 63)
+	}
+}
+
+// CorruptBigKeysForTest skews the large-key counter.
+func (t *Table[V]) CorruptBigKeysForTest(delta int) { t.bigKeys += delta }
+
 // CorruptKeyForTest rewrites the stored key of oldKey's slot to newKey
-// without touching any index, reporting whether oldKey was present.
+// without touching the set-index memo or moving the slot, reporting
+// whether oldKey was present. The presence bitset follows the rewrite, so
+// the corruption shows as a misplaced key, not as a presence mismatch.
 func (t *Table[V]) CorruptKeyForTest(oldKey, newKey uint64) bool {
 	for ti := 0; ti < 2; ti++ {
 		for i := range t.slots[ti] {
 			if t.slots[ti][i].valid && t.slots[ti][i].key == oldKey {
 				t.slots[ti][i].key = newKey
+				t.markPresent(oldKey, false)
+				t.markPresent(newKey, true)
 				return true
 			}
 		}

@@ -60,9 +60,9 @@ func TestFaultRIT(t *testing.T) {
 		{"partner-rewrite", "rit/involution", func(r *rit.RIT) { r.CorruptPartnerForTest(0, 777) }},
 		{"lock-flip", "rit/locks", func(r *rit.RIT) { r.CorruptLockForTest(0) }},
 		{"tuple-counter", "rit/count", func(r *rit.RIT) { r.CorruptTuplesForTest(1) }},
-		{"presence-cleared", "rit/presence", func(r *rit.RIT) { r.CorruptPresenceForTest(0) }},
-		{"presence-stale", "rit/presence", func(r *rit.RIT) { r.CorruptPresenceForTest(999) }},
-		{"bigrows-counter", "rit/presence", func(r *rit.RIT) { r.CorruptBigRowsForTest(1) }},
+		{"presence-cleared", "cat/presence", func(r *rit.RIT) { r.CorruptPresenceForTest(0) }},
+		{"presence-stale", "cat/presence", func(r *rit.RIT) { r.CorruptPresenceForTest(999) }},
+		{"bigrows-counter", "cat/presence", func(r *rit.RIT) { r.CorruptBigRowsForTest(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,10 +193,10 @@ func TestFaultCAT(t *testing.T) {
 		{"gmin-cache", "tracker/setmin", func(_ *testing.T, c *tracker.CAT) { c.CorruptGminForTest(42) }},
 		{"relocs-counter", "tracker/relocs", func(_ *testing.T, c *tracker.CAT) { c.CorruptRelocsForTest(1) }},
 		{"spill-skew", "tracker/spill", func(_ *testing.T, c *tracker.CAT) { c.CorruptSpillForTest(1 << 20) }},
-		{"presence-cleared", "tracker/presence", func(tt *testing.T, c *tracker.CAT) {
+		{"presence-cleared", "cat/presence", func(tt *testing.T, c *tracker.CAT) {
 			c.CorruptPresenceForTest(trackedRow(tt, c))
 		}},
-		{"presence-stale", "tracker/presence", func(tt *testing.T, c *tracker.CAT) {
+		{"presence-stale", "cat/presence", func(tt *testing.T, c *tracker.CAT) {
 			for row := uint64(0); ; row++ {
 				if !c.Contains(row) {
 					c.CorruptPresenceForTest(row)
@@ -204,7 +204,7 @@ func TestFaultCAT(t *testing.T) {
 				}
 			}
 		}},
-		{"bigrows-counter", "tracker/presence", func(_ *testing.T, c *tracker.CAT) { c.CorruptBigRowsForTest(1) }},
+		{"bigrows-counter", "cat/presence", func(_ *testing.T, c *tracker.CAT) { c.CorruptBigRowsForTest(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

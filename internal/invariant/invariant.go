@@ -20,13 +20,14 @@
 // "Invariant catalog" for the paper justification and cost of each):
 //
 //   - rit/structure: involution (<X,Y> implies <Y,X>), lock-bit parity,
-//     tuple-count and capacity accounting, presence-bitset agreement.
+//     tuple-count and capacity accounting, and the table's
+//     presence-bitset agreement (cat/presence).
 //   - rit/shadow: map-based reference RIT mirrors installs, removals and
 //     evictions; every Remap answer is cross-checked (first divergence
 //     is reported, naming the row and both answers).
 //   - tracker/structure: CAT SetMin exactness and cached-global-minimum
-//     agreement, relocation-counter sync, presence-bitset agreement,
-//     Misra-Gries count lower bound (no estimate below the spill
+//     agreement, relocation-counter sync, the table's structural checks
+//     (cat/* below), Misra-Gries count lower bound (no estimate below the spill
 //     counter); CAM slot/index agreement and cached-minimum exactness.
 //   - tracker/shadow: map-based Misra-Gries reference replays every
 //     observation and cross-checks counts, spill, triggers, installs
@@ -34,7 +35,7 @@
 //   - cat/structure: two-table occupancy (invalid-way counters vs valid
 //     slots), size accounting, slot-placement consistency (every key
 //     sits in a set its hashes select), set-index memo integrity, no
-//     duplicate keys.
+//     duplicate keys, and presence-bitset agreement (cat/presence).
 //   - dram/structure: dense-slice/overflow-map disjointness, activation
 //     count/dirty-list agreement, content/written tier sizing.
 //   - dram/swap-conservation: every SwapRows/CycleRows is re-read after

@@ -1,69 +1,90 @@
 package prince
 
-// Table-driven fast path. The round function factors into per-16-bit-chunk
-// table lookups (S-box and M' act within chunks) plus a byte-indexed
-// scatter for the ShiftRows nibble permutation. The reference nibble-loop
-// implementation in prince.go remains the specification; TestFastMatchesReference
-// cross-checks them and the official vectors pin both down.
+// Table-driven fast path. The S-box acts on nibbles and M' and ShiftRows
+// are linear, so each round's "S then linear map" factors into eight
+// byte-indexed lookups XORed together (a T-table cipher):
+//
+//	L(S(x)) = L(S8(x_0)<<56) ⊕ … ⊕ L(S8(x_7)), with S8 the S-box on both
+//	nibbles of a byte and x_b the b-th most significant byte.
+//
+// The forward rounds are F = SR∘M'∘S and the middle layer starts with
+// M'∘S. The backward rounds end in S⁻¹, which is not linear, so they are
+// re-bracketed to start with it instead: after the middle layer's M', each
+// round maps u to M'(SR⁻¹(S⁻¹(u) ⊕ K)) = G(u) ⊕ M'(SR⁻¹(K)) with
+// G = M'∘SR⁻¹∘S⁻¹, and the trailing S⁻¹ of round 10 runs as a byte-wise
+// table before the final key addition. The per-key constants M'(SR⁻¹(K))
+// are precomputed in New. The nibble-loop core in prince.go remains the
+// specification; the fuzz and quick-check tests cross-check the two and
+// the official vectors pin both down.
 var (
-	// smTab[w][c] = M'_w(S(c)) — forward round chunk transform.
-	smTab [2][1 << 16]uint16
-	// misTab[w][c] = S^-1(M'_w(c)) — inverse round chunk transform.
-	misTab [2][1 << 16]uint16
-	// midTab[w][c] = S^-1(M'_w(S(c))) — the middle layer.
-	midTab [2][1 << 16]uint16
-	// srTab/srInvTab scatter the i-th most significant byte to its
-	// ShiftRows (inverse) destinations.
-	srTab    [8][256]uint64
-	srInvTab [8][256]uint64
+	fwdTab [8][256]uint64 // SR(M'(S(x))) per byte position
+	midTab [8][256]uint64 // M'(S(x)) per byte position
+	bwdTab [8][256]uint64 // M'(SR⁻¹(S⁻¹(x))) per byte position
+	// sInv8 is S⁻¹ on both nibbles of a byte.
+	sInv8 [256]uint8
 )
 
-func sbox16(c uint16, box *[16]uint64) uint16 {
-	return uint16(box[c>>12]<<12 | box[c>>8&0xF]<<8 | box[c>>4&0xF]<<4 | box[c&0xF])
-}
-
 func initFast() {
-	for w := 0; w < 2; w++ {
-		for c := 0; c < 1<<16; c++ {
-			s := sbox16(uint16(c), &sbox)
-			m := mTab[w][s]
-			smTab[w][c] = m
-			midTab[w][c] = sbox16(m, &sboxInv)
-			misTab[w][c] = sbox16(mTab[w][c], &sboxInv)
-		}
+	var s8 [256]uint64
+	for v := 0; v < 256; v++ {
+		s8[v] = sbox[v>>4]<<4 | sbox[v&0xF]
+		sInv8[v] = uint8(sboxInv[v>>4]<<4 | sboxInv[v&0xF])
 	}
-	for bi := 0; bi < 8; bi++ {
-		j0, j1 := 2*bi, 2*bi+1
+	for b := 0; b < 8; b++ {
+		shift := 56 - 8*uint(b)
 		for v := 0; v < 256; v++ {
-			n0, n1 := uint64(v>>4), uint64(v&0xF)
-			srTab[bi][v] = n0<<(60-4*srInv[j0]) | n1<<(60-4*srInv[j1])
-			srInvTab[bi][v] = n0<<(60-4*srPerm[j0]) | n1<<(60-4*srPerm[j1])
+			s := s8[v] << shift
+			m := mPrime(s)
+			fwdTab[b][v] = permuteNibbles(m, &srPerm)
+			midTab[b][v] = m
+			bwdTab[b][v] = mPrime(permuteNibbles(uint64(sInv8[v])<<shift, &srInv))
 		}
 	}
 }
 
-func scatter(x uint64, tab *[8][256]uint64) uint64 {
-	return tab[0][x>>56] | tab[1][x>>48&0xFF] | tab[2][x>>40&0xFF] |
-		tab[3][x>>32&0xFF] | tab[4][x>>24&0xFF] | tab[5][x>>16&0xFF] |
-		tab[6][x>>8&0xFF] | tab[7][x&0xFF]
+// tround applies the byte-indexed table tab to the eight bytes of x.
+func tround(x uint64, tab *[8][256]uint64) uint64 {
+	return tab[0][uint8(x>>56)] ^ tab[1][uint8(x>>48)] ^ tab[2][uint8(x>>40)] ^
+		tab[3][uint8(x>>32)] ^ tab[4][uint8(x>>24)] ^ tab[5][uint8(x>>16)] ^
+		tab[6][uint8(x>>8)] ^ tab[7][uint8(x)]
 }
 
-func chunks(x uint64, t *[2][1 << 16]uint16) uint64 {
-	return uint64(t[0][uint16(x>>48)])<<48 | uint64(t[1][uint16(x>>32)])<<32 |
-		uint64(t[1][uint16(x>>16)])<<16 | uint64(t[0][uint16(x)])
+// subInv applies S⁻¹ to every nibble of x.
+func subInv(x uint64) uint64 {
+	return uint64(sInv8[uint8(x>>56)])<<56 | uint64(sInv8[uint8(x>>48)])<<48 |
+		uint64(sInv8[uint8(x>>40)])<<40 | uint64(sInv8[uint8(x>>32)])<<32 |
+		uint64(sInv8[uint8(x>>24)])<<24 | uint64(sInv8[uint8(x>>16)])<<16 |
+		uint64(sInv8[uint8(x>>8)])<<8 | uint64(sInv8[uint8(x)])
 }
 
-// fastCore is the table-driven PRINCE-core.
-func fastCore(s, k1 uint64) uint64 {
-	s ^= k1 ^ rc[0]
-	for i := 1; i <= 5; i++ {
-		s = scatter(chunks(s, &smTab), &srTab)
-		s ^= rc[i] ^ k1
+// schedule holds one direction's per-key round constants: the whole
+// transform is out ⊕ S⁻¹(…) of in ⊕ m pushed through the table rounds.
+type schedule struct {
+	in  uint64    // k0 ⊕ k1 ⊕ RC0 (outer whitening folded in)
+	fwd [5]uint64 // RC_i ⊕ k1, i = 1..5
+	bwd [5]uint64 // M'(SR⁻¹(RC_i ⊕ k1)), i = 6..10
+	out uint64    // RC11 ⊕ k1 ⊕ k0' (outer whitening folded in)
+}
+
+// newSchedule precomputes the constants of whiten-out(core(m ⊕ win, k1)).
+func newSchedule(win, k1, wout uint64) schedule {
+	ks := schedule{in: win ^ k1 ^ rc[0], out: rc[11] ^ k1 ^ wout}
+	for i := 0; i < 5; i++ {
+		ks.fwd[i] = rc[1+i] ^ k1
+		ks.bwd[i] = mPrime(permuteNibbles(rc[6+i]^k1, &srInv))
 	}
-	s = chunks(s, &midTab)
-	for i := 6; i <= 10; i++ {
-		s ^= rc[i] ^ k1
-		s = chunks(scatter(s, &srInvTab), &misTab)
+	return ks
+}
+
+// run is the table-driven whitened PRINCE-core.
+func (ks *schedule) run(m uint64) uint64 {
+	s := m ^ ks.in
+	for i := range ks.fwd {
+		s = tround(s, &fwdTab) ^ ks.fwd[i]
 	}
-	return s ^ rc[11] ^ k1
+	s = tround(s, &midTab)
+	for i := range ks.bwd {
+		s = tround(s, &bwdTab) ^ ks.bwd[i]
+	}
+	return subInv(s) ^ ks.out
 }

@@ -39,11 +39,8 @@ const Alpha = 0xc0ac29b7c97c50dd
 
 // m16 holds, for the two 16x16 binary matrices M̂0 and M̂1, the output mask
 // contributed by each input bit (bit 0 = most significant bit of the 16-bit
-// chunk). mTab are full 65536-entry lookup tables derived from m16 for speed.
-var (
-	m16  [2][16]uint16
-	mTab [2][1 << 16]uint16
-)
+// chunk).
+var m16 [2][16]uint16
 
 // shift-rows permutation on nibbles (AES-style, column-major state):
 // output nibble i comes from input nibble 5i mod 16. srPerm[i] gives the
@@ -86,19 +83,6 @@ func init() {
 			}
 		}
 	}
-	for which := 0; which < 2; which++ {
-		for x := 0; x < 1<<16; x++ {
-			var out uint16
-			v := uint16(x)
-			for b := 0; b < 16; b++ {
-				if v&(1<<(15-b)) != 0 {
-					out ^= m16[which][b]
-				}
-			}
-			mTab[which][x] = out
-		}
-	}
-
 	for i := 0; i < 16; i++ {
 		srPerm[i] = (5 * i) % 16
 	}
@@ -118,13 +102,24 @@ func subBytes(x uint64, box *[16]uint64) uint64 {
 	return out
 }
 
+// mat16 multiplies the 16-bit chunk v by M̂_which.
+func mat16(which int, v uint16) uint16 {
+	var out uint16
+	for b := 0; b < 16; b++ {
+		if v&(1<<(15-b)) != 0 {
+			out ^= m16[which][b]
+		}
+	}
+	return out
+}
+
 // mPrime applies the involutory M' layer: diag(M̂0, M̂1, M̂1, M̂0) over the
 // four 16-bit chunks (chunk 0 = most significant).
 func mPrime(x uint64) uint64 {
-	c0 := mTab[0][uint16(x>>48)]
-	c1 := mTab[1][uint16(x>>32)]
-	c2 := mTab[1][uint16(x>>16)]
-	c3 := mTab[0][uint16(x)]
+	c0 := mat16(0, uint16(x>>48))
+	c1 := mat16(1, uint16(x>>32))
+	c2 := mat16(1, uint16(x>>16))
+	c3 := mat16(0, uint16(x))
 	return uint64(c0)<<48 | uint64(c1)<<32 | uint64(c2)<<16 | uint64(c3)
 }
 
@@ -137,31 +132,36 @@ func permuteNibbles(x uint64, perm *[16]int) uint64 {
 	return out
 }
 
-// Cipher is a PRINCE instance with a fixed 128-bit key (k0 || k1).
+// Cipher is a PRINCE instance with a fixed 128-bit key (k0 || k1), held
+// as the precomputed encryption round constants.
 type Cipher struct {
-	k0, k0p, k1 uint64
+	enc    schedule
+	k0, k1 uint64
 }
 
 // New creates a PRINCE cipher from the two 64-bit key halves.
 func New(k0, k1 uint64) *Cipher {
-	// k0' = (k0 >>> 1) XOR (k0 >> 63)
-	k0p := (k0>>1 | k0<<63) ^ (k0 >> 63)
-	return &Cipher{k0: k0, k0p: k0p, k1: k1}
+	return &Cipher{enc: newSchedule(k0, k1, deriveK0p(k0)), k0: k0, k1: k1}
 }
+
+// deriveK0p returns k0' = (k0 >>> 1) XOR (k0 >> 63).
+func deriveK0p(k0 uint64) uint64 { return (k0>>1 | k0<<63) ^ (k0 >> 63) }
 
 // Encrypt enciphers one 64-bit block.
-func (c *Cipher) Encrypt(m uint64) uint64 {
-	return fastCore(m^c.k0, c.k1) ^ c.k0p
-}
+func (c *Cipher) Encrypt(m uint64) uint64 { return c.enc.run(m) }
 
-// Decrypt deciphers one 64-bit block using the alpha-reflection property.
+// Decrypt deciphers one 64-bit block using the alpha-reflection property:
+// the same core keyed with k1 ⊕ Alpha and the two whitening keys swapped.
+// It derives those round constants on every call, since the simulator
+// only ever enciphers.
 func (c *Cipher) Decrypt(m uint64) uint64 {
-	return fastCore(m^c.k0p, c.k1^Alpha) ^ c.k0
+	dec := newSchedule(deriveK0p(c.k0), c.k1^Alpha, c.k0)
+	return dec.run(m)
 }
 
 // core is the reference (specification-shaped) PRINCE-core, kept for
 // cross-checking the table-driven fast path.
-func (c *Cipher) core(s, k1 uint64) uint64 {
+func core(s, k1 uint64) uint64 {
 	s ^= k1 ^ rc[0]
 	for i := 1; i <= 5; i++ {
 		s = subBytes(s, &sbox)

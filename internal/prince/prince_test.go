@@ -194,12 +194,48 @@ func BenchmarkCTRNext(b *testing.B) {
 	_ = sink
 }
 
+// refEncrypt is the specification-shaped PRINCE: the reference core
+// between the k0 / k0' whitening keys.
+func refEncrypt(k0, k1, m uint64) uint64 {
+	return core(m^k0, k1) ^ deriveK0p(k0)
+}
+
 func TestFastMatchesReference(t *testing.T) {
-	c := New(0xdeadbeefcafebabe, 0x0123456789abcdef)
-	f := func(m, k1 uint64) bool {
-		return fastCore(m, k1) == c.core(m, k1)
+	f := func(k0, k1, m uint64) bool {
+		c := New(k0, k1)
+		ct := c.Encrypt(m)
+		return ct == refEncrypt(k0, k1, m) && c.Decrypt(ct) == m
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestReferenceVectors pins the reference core to the official vectors,
+// so the fast path is checked against a known-good oracle.
+func TestReferenceVectors(t *testing.T) {
+	for i, v := range vectors {
+		if got := refEncrypt(v.k0, v.k1, v.pt); got != v.ct {
+			t.Errorf("vector %d: reference core gives %016x, want %016x", i, got, v.ct)
+		}
+	}
+}
+
+// FuzzCipherMatchesReference checks the precomputed per-key round
+// constants of both directions: Encrypt must equal the whitened reference
+// core for any key, and Decrypt must invert it.
+func FuzzCipherMatchesReference(f *testing.F) {
+	for _, v := range vectors {
+		f.Add(v.k0, v.k1, v.pt)
+	}
+	f.Fuzz(func(t *testing.T, k0, k1, m uint64) {
+		c := New(k0, k1)
+		ct := c.Encrypt(m)
+		if want := refEncrypt(k0, k1, m); ct != want {
+			t.Fatalf("Encrypt(%016x) under (%016x, %016x) = %016x, reference %016x", m, k0, k1, ct, want)
+		}
+		if pt := c.Decrypt(ct); pt != m {
+			t.Fatalf("Decrypt(Encrypt(%016x)) = %016x under (%016x, %016x)", m, pt, k0, k1)
+		}
+	})
 }

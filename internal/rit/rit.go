@@ -14,7 +14,6 @@ package rit
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/cat"
 	"repro/internal/invariant"
@@ -50,15 +49,6 @@ type RIT struct {
 	tuples   int
 	rng      *prince.CTR
 
-	// present is an exact membership bitset over small row ids: bit row
-	// is set iff row has an entry in tab. Almost every access misses the
-	// RIT (a few thousand tuples against millions of rows), so the remap
-	// fast path answers "not swapped" from one bit probe instead of two
-	// keyed-hash set scans. Rows >= maxBitsetRows are only counted in
-	// bigRows and always take the table lookup.
-	present []uint64
-	bigRows int
-
 	// shadow, when non-nil, is the map-based reference model the paranoid
 	// mode replays every mutation into; Remap answers are cross-checked
 	// against it. The hot path pays exactly one nil test when disabled.
@@ -76,10 +66,6 @@ func (r *RIT) SetObs(rec *obs.Recorder, bank int32) {
 	r.rec = rec
 	r.obsBank = bank
 }
-
-// maxBitsetRows bounds the presence bitset at 512 KiB so adversarial
-// 64-bit row ids (fuzzers, tests) cannot balloon it.
-const maxBitsetRows = 1 << 22
 
 // New creates a RIT with the given CAT geometry and tuple capacity. The
 // paper's configuration stores 3400 tuples (6800 entries) in 2 tables x
@@ -103,49 +89,12 @@ func New(spec cat.Spec, capacityTuples int, seed uint64) (*RIT, error) {
 	}, nil
 }
 
-// mightContain is the bit-probe fast path: false means row is certainly
-// absent; true means the table must be consulted (and, for rows under
-// the bitset bound, is in fact a guaranteed hit).
-func (r *RIT) mightContain(row uint64) bool {
-	if row < maxBitsetRows {
-		w := row >> 6
-		return w < uint64(len(r.present)) && r.present[w]&(1<<(row&63)) != 0
-	}
-	return r.bigRows > 0
-}
-
-func (r *RIT) addPresent(row uint64) {
-	if row >= maxBitsetRows {
-		r.bigRows++
-		return
-	}
-	w := row >> 6
-	if w >= uint64(len(r.present)) {
-		grown := make([]uint64, 2*(w+1))
-		copy(grown, r.present)
-		r.present = grown
-	}
-	r.present[w] |= 1 << (row & 63)
-}
-
-func (r *RIT) removePresent(row uint64) {
-	if row >= maxBitsetRows {
-		r.bigRows--
-		return
-	}
-	if w := row >> 6; w < uint64(len(r.present)) {
-		r.present[w] &^= 1 << (row & 63)
-	}
-}
-
 // Remap returns the physical row currently holding row's data: its swap
-// partner if swapped, otherwise row itself.
+// partner if swapped, otherwise row itself. Almost every access misses the
+// RIT, and the table answers a miss from its presence bitset.
 func (r *RIT) Remap(row uint64) uint64 {
 	if r.shadow != nil {
 		return r.remapChecked(row)
-	}
-	if !r.mightContain(row) {
-		return row
 	}
 	if e := r.tab.Lookup(row); e != nil {
 		return e.partner
@@ -155,9 +104,6 @@ func (r *RIT) Remap(row uint64) uint64 {
 
 // Lookup returns row's swap partner and whether row is swapped.
 func (r *RIT) Lookup(row uint64) (partner uint64, ok bool) {
-	if !r.mightContain(row) {
-		return 0, false
-	}
 	if e := r.tab.Lookup(row); e != nil {
 		return e.partner, true
 	}
@@ -166,9 +112,7 @@ func (r *RIT) Lookup(row uint64) (partner uint64, ok bool) {
 
 // Contains reports whether row is part of any tuple. Rows in the RIT are
 // excluded from being random swap destinations.
-func (r *RIT) Contains(row uint64) bool {
-	return r.mightContain(row) && r.tab.Contains(row)
-}
+func (r *RIT) Contains(row uint64) bool { return r.tab.Contains(row) }
 
 // Tuples returns the number of installed tuples.
 func (r *RIT) Tuples() int { return r.tuples }
@@ -201,13 +145,10 @@ func (r *RIT) Install(x, y uint64) (ev Eviction, ok bool, err error) {
 		// install; the caller skips the swap.
 		return ev, false, nil
 	}
-	r.addPresent(x)
 	if r.tab.Install(y, entry{partner: x, locked: true}) == nil {
 		r.tab.Delete(x)
-		r.removePresent(x)
 		return ev, false, nil
 	}
-	r.addPresent(y)
 	r.tuples++
 	if sh := r.shadow; sh != nil {
 		sh.install(x, y)
@@ -228,8 +169,6 @@ func (r *RIT) Remove(row uint64) (partner uint64, ok bool) {
 	partner = e.partner
 	r.tab.Delete(row)
 	r.tab.Delete(partner)
-	r.removePresent(row)
-	r.removePresent(partner)
 	r.tuples--
 	if sh := r.shadow; sh != nil {
 		sh.remove(row, partner)
@@ -250,8 +189,6 @@ func (r *RIT) EvictRandomUnlocked() (x, y uint64, ok bool) {
 	x, y = key, e.partner
 	r.tab.Delete(x)
 	r.tab.Delete(y)
-	r.removePresent(x)
-	r.removePresent(y)
 	r.tuples--
 	if sh := r.shadow; sh != nil {
 		sh.evict(x, y)
@@ -299,27 +236,23 @@ func (r *RIT) ForEachTuple(fn func(x, y uint64, locked bool) bool) {
 // CheckInvariants verifies the structural invariants of the table and
 // returns a typed *invariant.Violation describing the first breach:
 //
+//   - cat/presence: the table's miss-path bitset agrees exactly with its
+//     membership (checked first: every other check looks rows up).
 //   - rit/involution: every entry X -> Y has a reverse entry Y -> X.
 //   - rit/locks: both entries of a tuple carry the same lock bit.
 //   - rit/count: entry count equals 2x the tuple counter, which never
 //     exceeds capacity.
-//   - rit/presence: the fast-path bitset (and bigRows counter) agree
-//     exactly with table membership.
 //
-// Cost is O(entries + bitset words); the paranoid engine runs it on a
+// Cost is O(slots + bitset words); the paranoid engine runs it on a
 // cadence and tests call it after mutation sequences.
 func (r *RIT) CheckInvariants() error {
+	if err := r.tab.CheckPresence(); err != nil {
+		return err
+	}
 	var verr error
 	count := 0
-	bigSeen := 0
 	r.tab.ForEach(func(k uint64, e *entry) bool {
 		count++
-		if k >= maxBitsetRows {
-			bigSeen++
-		} else if w := k >> 6; w >= uint64(len(r.present)) || r.present[w]&(1<<(k&63)) == 0 {
-			verr = invariant.Violatedf("rit/presence", "row %d is in the table but its presence bit is clear", k)
-			return false
-		}
 		back := r.tab.Lookup(e.partner)
 		if back == nil {
 			verr = invariant.Violatedf("rit/involution", "entry %d -> %d has no reverse entry", k, e.partner)
@@ -343,18 +276,6 @@ func (r *RIT) CheckInvariants() error {
 	}
 	if r.tuples > r.capacity {
 		return invariant.Violatedf("rit/count", "%d tuples exceed capacity %d", r.tuples, r.capacity)
-	}
-	if bigSeen != r.bigRows {
-		return invariant.Violatedf("rit/presence", "bigRows counter %d, actual large-id entries %d", r.bigRows, bigSeen)
-	}
-	for w, word := range r.present {
-		for word != 0 {
-			row := uint64(w)<<6 | uint64(bits.TrailingZeros64(word))
-			if !r.tab.Contains(row) {
-				return invariant.Violatedf("rit/presence", "presence bit set for row %d, which is not in the table", row)
-			}
-			word &= word - 1
-		}
 	}
 	return nil
 }
@@ -424,10 +345,8 @@ func (sh *shadow) clearLocks() {
 // the answer against the reference model.
 func (r *RIT) remapChecked(row uint64) uint64 {
 	got := row
-	if r.mightContain(row) {
-		if e := r.tab.Lookup(row); e != nil {
-			got = e.partner
-		}
+	if e := r.tab.Lookup(row); e != nil {
+		got = e.partner
 	}
 	sh := r.shadow
 	sh.checks++
@@ -500,20 +419,9 @@ func (r *RIT) CorruptLockForTest(row uint64) bool {
 // CorruptTuplesForTest skews the tuple counter.
 func (r *RIT) CorruptTuplesForTest(delta int) { r.tuples += delta }
 
-// CorruptPresenceForTest flips row's presence bit (growing the bitset if
-// needed). It only handles rows under the bitset bound.
-func (r *RIT) CorruptPresenceForTest(row uint64) {
-	if row >= maxBitsetRows {
-		return
-	}
-	w := row >> 6
-	if w >= uint64(len(r.present)) {
-		grown := make([]uint64, 2*(w+1))
-		copy(grown, r.present)
-		r.present = grown
-	}
-	r.present[w] ^= 1 << (row & 63)
-}
+// CorruptPresenceForTest flips row's presence bit in the table (rows
+// under the bitset bound only).
+func (r *RIT) CorruptPresenceForTest(row uint64) { r.tab.CorruptPresenceForTest(row) }
 
-// CorruptBigRowsForTest skews the large-id entry counter.
-func (r *RIT) CorruptBigRowsForTest(delta int) { r.bigRows += delta }
+// CorruptBigRowsForTest skews the table's large-key counter.
+func (r *RIT) CorruptBigRowsForTest(delta int) { r.tab.CorruptBigKeysForTest(delta) }

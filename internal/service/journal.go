@@ -82,23 +82,22 @@ func acceptedRecord(j *Job) journalRecord {
 	}
 }
 
-// terminalRecord snapshots j for the terminal line. Results ride along
-// for done jobs — replaying them is what reconstitutes the result cache.
-func terminalRecord(j *Job) journalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// terminalRecord builds the terminal line for j, whose mu the caller
+// holds, entering state. Results ride along for done jobs — replaying
+// them is what reconstitutes the result cache.
+func terminalRecord(j *Job, state State, errMsg string, finished time.Time, res *sim.Result) journalRecord {
 	rec := journalRecord{
 		Type:     recTerminal,
 		ID:       j.id,
 		Hash:     j.hash,
-		State:    j.state,
-		Error:    j.err,
+		State:    state,
+		Error:    errMsg,
 		Attempts: j.attempts,
-		Finished: j.finished.UTC().Format(time.RFC3339Nano),
+		Finished: finished.UTC().Format(time.RFC3339Nano),
 	}
-	if j.state == StateDone && j.result != nil {
-		res := *j.result
-		rec.Result = &res
+	if state == StateDone && res != nil {
+		r := *res
+		rec.Result = &r
 	}
 	return rec
 }
@@ -457,6 +456,9 @@ func (m *Manager) Restore(rep *Replayed) error {
 		return nil
 	}
 	var errs []error
+	// requeued maps each re-enqueued job's hash to the job, so a resumed
+	// sweep links its unfinished children to them directly.
+	requeued := make(map[string]*Job)
 	for i := range rep.Jobs {
 		rj := &rep.Jobs[i]
 		j := &Job{
@@ -521,14 +523,16 @@ func (m *Manager) Restore(rep *Replayed) error {
 			m.finish(j, StateFailed, fmt.Sprintf("journal replay: %v", err))
 			m.met.Inc("rrs_jobs_failed_total", 1)
 			errs = append(errs, fmt.Errorf("service: re-enqueueing %s: %w", j.id, err))
+			continue
 		}
+		requeued[j.hash] = j
 	}
 	// Sweeps restore after jobs so the replayed result cache and the
 	// re-enqueued pending children are in place: a resumed sweep's feeder
-	// then coalesces onto the replayed jobs instead of duplicating them,
-	// and completed children come back as cache hits.
+	// links the replayed jobs instead of duplicating them, and completed
+	// children come back as cache hits.
 	for i := range rep.Sweeps {
-		if err := m.restoreSweep(&rep.Sweeps[i]); err != nil {
+		if err := m.restoreSweep(&rep.Sweeps[i], requeued); err != nil {
 			errs = append(errs, err)
 		}
 	}

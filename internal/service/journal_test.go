@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -198,6 +199,115 @@ func TestJournalTornFinalLineDropped(t *testing.T) {
 	if len(rep.Jobs) != 1 || rep.Results != 1 {
 		t.Errorf("replay = %d jobs, %d results; the intact record must survive",
 			len(rep.Jobs), rep.Results)
+	}
+}
+
+// TestJournalQueueFullRejectionNotReplayed: a job is journaled as
+// accepted before it is queued, so a submission the full queue rejects
+// must be refused before that accept line, not replayed after a
+// restart.
+func TestJournalQueueFullRejectionNotReplayed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	gate := make(chan struct{})
+	m1, j1, _ := journalManager(t, path, Options{Workers: 1, QueueDepth: 1},
+		func(ctx context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return sim.Result{}, ctx.Err()
+			}
+			return sim.Result{IPC: float64(spec.Seed)}, nil
+		})
+	running, err := m1.Submit(uniqueSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for running.Snapshot().State != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	queued, err := m1.Submit(uniqueSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Submit(uniqueSpec(3)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
+	}
+	close(gate)
+	waitDone(t, queued)
+	shutdown(t, m1)
+	j1.Close()
+
+	j2, rep, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(rep.Jobs) != 2 || rep.Results != 2 {
+		t.Fatalf("replay = %d jobs, %d results; want the 2 accepted jobs, both done", len(rep.Jobs), rep.Results)
+	}
+	for _, rj := range rep.Jobs {
+		if rj.Spec.Seed == 3 {
+			t.Errorf("rejected job %s replayed as %s", rj.ID, rj.State)
+		}
+	}
+}
+
+// TestCoalescedSubmitsSurviveQueueFull: identical submissions race a
+// full queue, retrying like sweep feeders do. A submission the queue
+// refuses must never be visible to the others, so every job handed out
+// stays gettable and runs to done.
+func TestCoalescedSubmitsSurviveQueueFull(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	m, _, _ := journalManager(t, path, Options{Workers: 1, QueueDepth: 1},
+		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
+			time.Sleep(time.Millisecond)
+			return sim.Result{IPC: float64(spec.Seed)}, nil
+		})
+	const submitters, seeds = 8, 6
+	var (
+		mu   sync.Mutex
+		jobs []*Job
+		wg   sync.WaitGroup
+	)
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < seeds; i++ {
+				spec := uniqueSpec(uint64(1 + (g+i)%seeds))
+				for {
+					j, err := m.Submit(spec)
+					if errors.Is(err, ErrQueueFull) {
+						time.Sleep(100 * time.Microsecond)
+						continue
+					}
+					if err != nil {
+						t.Errorf("submit seed %d: %v", spec.Seed, err)
+						return
+					}
+					mu.Lock()
+					jobs = append(jobs, j)
+					mu.Unlock()
+					break
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(jobs) != submitters*seeds {
+		t.Fatalf("%d submissions accepted, want %d", len(jobs), submitters*seeds)
+	}
+	for _, j := range jobs {
+		if _, ok := m.Get(j.ID()); !ok {
+			t.Errorf("job %s handed to a submitter is not gettable", j.ID())
+		}
+		if v := waitDone(t, j); v.State != StateDone {
+			t.Errorf("job %s ended %s (%s), want done", j.ID(), v.State, v.Error)
+		}
 	}
 }
 

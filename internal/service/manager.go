@@ -55,6 +55,10 @@ type Job struct {
 	attempts int  // completed run attempts (retries = attempts - 1)
 	err      string
 	result   *sim.Result
+	// finishing marks a claimed terminal transition whose record is
+	// still being journaled. It bars every other transition; readers
+	// keep seeing the old state until finish publishes the new one.
+	finishing bool
 
 	submitted time.Time
 	started   time.Time
@@ -243,9 +247,9 @@ type Manager struct {
 	jobs       map[string]*Job
 	inflight   map[string]*Job // hash → queued/running job, for submit coalescing
 	doneByHash map[string]*Job // hash → done job holding a result, for ResultByHash
-	seq      uint64
-	closed   bool
-	draining bool // drain mode: intake refused, cancellations journal-requeue
+	seq        uint64
+	closed     bool
+	draining   bool // drain mode: intake refused, cancellations journal-requeue
 
 	// Sweep orchestration state: the tracked sweeps, the hash →
 	// running-sweep coalescing index, and the id sequence. Each running
@@ -556,7 +560,6 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	m.jobs[j.id] = j
 	m.mu.Unlock()
 
 	m.met.Inc("rrs_jobs_submitted_total", 1)
@@ -564,23 +567,25 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 	if res, ok := m.cache.Get(j.hash); ok {
 		m.met.Inc("rrs_cache_hits_total", 1)
 		m.met.Inc("rrs_jobs_done_total", 1)
-		j.mu.Lock()
 		j.state = StateDone
 		j.cacheHit = true
 		j.progress = 1
 		j.result = &res
 		j.finished = time.Now()
-		j.mu.Unlock()
-		m.mu.Lock()
-		m.doneByHash[j.hash] = j
-		m.mu.Unlock()
+		close(j.done)
 		// Cache-hit jobs are not journaled: their result is already
 		// durable under the record of the job that computed it.
-		close(j.done)
+		m.mu.Lock()
+		m.jobs[j.id] = j
+		m.doneByHash[j.hash] = j
+		m.mu.Unlock()
 		return j, false, nil
 	}
 	m.met.Inc("rrs_cache_misses_total", 1)
 
+	// Admission happens before the job becomes visible: a refused job is
+	// never indexed, coalesced onto or journaled, so a refusal costs no
+	// disk write and no caller can be handed a job that is then dropped.
 	if wm := m.opts.AdmissionWatermark; wm > 0 && m.queue.Len() >= wm {
 		// Graceful degradation: past the watermark, refuse work that
 		// would need a simulation rather than letting the backlog build
@@ -588,27 +593,37 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 		// well-behaved clients (and forwarding fleet peers) to back off
 		// or fail over.
 		m.met.Inc("rrs_jobs_shed_total", 1)
-		m.finish(j, StateCancelled, ErrOverloaded.Error())
-		m.mu.Lock()
-		delete(m.jobs, j.id)
-		m.mu.Unlock()
 		return nil, false, ErrOverloaded
 	}
-
-	if err := m.queue.Push(j); err != nil {
+	if err := m.queue.reserve(); err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			m.met.Inc("rrs_jobs_rejected_total", 1)
 		}
-		m.finish(j, StateCancelled, err.Error())
-		m.mu.Lock()
-		delete(m.jobs, j.id)
-		m.mu.Unlock()
 		return nil, false, err
 	}
+
 	m.mu.Lock()
+	if prior, ok := m.inflight[hash]; ok {
+		// An identical submission was admitted since the check above.
+		m.mu.Unlock()
+		m.queue.release()
+		m.met.Inc("rrs_jobs_coalesced_total", 1)
+		return prior, true, nil
+	}
+	m.jobs[j.id] = j
 	m.inflight[j.hash] = j
 	m.mu.Unlock()
+	// Journal the accept record before a worker can see the job: pushed
+	// first, it could finish and journal its terminal record ahead of
+	// the accept line, which replay would then read as a job still
+	// pending.
 	m.journal(acceptedRecord(j))
+	if err := m.queue.commit(j); err != nil {
+		// The queue closed after the reservation. The job was accepted,
+		// so it ends like any job still queued at shutdown.
+		m.finish(j, StateCancelled, err.Error())
+		m.met.Inc("rrs_jobs_cancelled_total", 1)
+	}
 	return j, false, nil
 }
 
@@ -658,15 +673,13 @@ func (m *Manager) Cancel(id string) (ok bool, err error) {
 	}
 	j.mu.Lock()
 	switch {
-	case j.state == StateQueued:
+	case j.state == StateQueued && !j.finishing:
 		// The worker that eventually pops it observes the state and
-		// skips; mark it terminal now so waiters unblock immediately.
-		j.state = StateCancelled
-		j.finished = time.Now()
-		j.mu.Unlock()
-		m.retire(j)
-		m.journal(terminalRecord(j))
-		close(j.done)
+		// skips; mark it terminal now so waiters unblock immediately. A
+		// client's cancellation is final even during a drain, so its
+		// record is always journaled.
+		j.finishing = true
+		m.settle(j, StateCancelled, "", nil, true)
 		m.met.Inc("rrs_jobs_cancelled_total", 1)
 		return true, nil
 	case j.state == StateRunning && j.cancel != nil:
@@ -798,7 +811,7 @@ func (m *Manager) runOne(j *Job) {
 	defer cancel()
 
 	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while waiting
+	if j.state != StateQueued || j.finishing { // cancelled while waiting
 		j.mu.Unlock()
 		return
 	}
@@ -849,10 +862,6 @@ func (m *Manager) runOne(j *Job) {
 		res.Mitigation = nil
 		m.foldTimeline(res.Timeline)
 		res.Timeline = nil
-		m.cache.Put(j.hash, res)
-		if m.opts.OnResult != nil {
-			m.opts.OnResult(j.hash, res)
-		}
 		start := j.started
 		m.finish(j, StateDone, "", &res)
 		m.met.Inc("rrs_jobs_done_total", 1)
@@ -882,7 +891,7 @@ func (m *Manager) requeue(j *Job, cause error) bool {
 		return false
 	}
 	j.mu.Lock()
-	if j.state != StateRunning || j.attempts > m.opts.JobRetries {
+	if j.state != StateRunning || j.finishing || j.attempts > m.opts.JobRetries {
 		j.mu.Unlock()
 		return false
 	}
@@ -910,40 +919,68 @@ func (m *Manager) retire(j *Job) {
 	m.mu.Unlock()
 }
 
-// finish moves j to a terminal state exactly once.
+// finish moves j to a terminal state exactly once. A done job's result
+// enters the result cache (and reaches Options.OnResult) here.
 func (m *Manager) finish(j *Job, state State, errMsg string, result ...*sim.Result) {
+	m.mu.Lock()
+	draining := m.draining
+	m.mu.Unlock()
+	var res *sim.Result
+	if state == StateDone && len(result) > 0 {
+		res = result[0]
+	}
 	j.mu.Lock()
-	if j.state.terminal() {
+	if j.state.terminal() || j.finishing {
 		j.mu.Unlock()
 		return
 	}
+	j.finishing = true
+	// Drain semantics: a cancellation during drain is "ran out of time",
+	// not "the client gave up". Withholding the terminal record leaves
+	// the accepted record unmatched, so the next startup's journal
+	// replay re-enqueues the job instead of losing it.
+	withhold := draining && state == StateCancelled
+	if withhold {
+		m.met.Inc("rrs_jobs_requeued_total", 1)
+	}
+	m.settle(j, state, errMsg, res, !withhold)
+}
+
+// settle completes the terminal transition the caller claimed by
+// setting j.finishing under j.mu, which settle releases. The record is
+// built under j.mu and journaled (when journal is set) without it, so
+// polls of the job do not wait on the disk; the new state, the cached
+// result and the closed done channel are published only after the
+// append returns, so nothing reports a job done before its terminal
+// record is durable.
+func (m *Manager) settle(j *Job, state State, errMsg string, res *sim.Result, journal bool) {
+	j.cancel = nil
+	finished := time.Now()
+	rec := terminalRecord(j, state, errMsg, finished, res)
+	j.mu.Unlock()
+	if journal {
+		m.journal(rec)
+	}
+	j.mu.Lock()
 	j.state = state
 	j.err = errMsg
-	j.cancel = nil
-	j.finished = time.Now()
+	j.finished = finished
 	if state == StateDone {
 		j.progress = 1
-		if len(result) > 0 {
-			j.result = result[0]
-		}
+		j.result = res
 	}
 	j.mu.Unlock()
-	m.retire(j)
-	m.mu.Lock()
-	if state == StateDone && len(result) > 0 && result[0] != nil {
-		m.doneByHash[j.hash] = j
+	if res != nil {
+		m.cache.Put(j.hash, *res)
+		if m.opts.OnResult != nil {
+			m.opts.OnResult(j.hash, *res)
+		}
 	}
-	draining := m.draining
-	m.mu.Unlock()
-	if draining && state == StateCancelled {
-		// Drain semantics: a cancellation during drain is "ran out of
-		// time", not "the client gave up". Withholding the terminal
-		// record leaves the accepted record unmatched, so the next
-		// startup's journal replay re-enqueues the job instead of
-		// losing it.
-		m.met.Inc("rrs_jobs_requeued_total", 1)
-	} else {
-		m.journal(terminalRecord(j))
+	m.retire(j)
+	if res != nil {
+		m.mu.Lock()
+		m.doneByHash[j.hash] = j
+		m.mu.Unlock()
 	}
 	close(j.done)
 }
@@ -1035,7 +1072,7 @@ wait:
 	}
 	for _, j := range m.List() {
 		j.mu.Lock()
-		terminal := j.state.terminal()
+		terminal := j.state.terminal() || j.finishing
 		running := j.state == StateRunning
 		j.mu.Unlock()
 		switch {
@@ -1076,7 +1113,7 @@ func (m *Manager) StealQueued() (*Job, bool) {
 			return nil, false
 		}
 		j.mu.Lock()
-		queued := j.state == StateQueued
+		queued := j.state == StateQueued && !j.finishing
 		j.mu.Unlock()
 		if queued {
 			return j, true
@@ -1091,7 +1128,7 @@ func (m *Manager) StealQueued() (*Job, bool) {
 // still replays on restart.
 func (m *Manager) RequeueStolen(j *Job) {
 	j.mu.Lock()
-	queued := j.state == StateQueued
+	queued := j.state == StateQueued && !j.finishing
 	j.mu.Unlock()
 	if !queued {
 		return
@@ -1110,17 +1147,13 @@ func (m *Manager) RequeueStolen(j *Job) {
 // state.
 func (m *Manager) CompleteExternal(j *Job, res sim.Result) bool {
 	j.mu.Lock()
-	if j.state.terminal() || j.state == StateRunning {
+	if j.state.terminal() || j.finishing || j.state == StateRunning {
 		j.mu.Unlock()
 		return false
 	}
 	j.mu.Unlock()
 	res.Mitigation = nil
 	res.Timeline = nil
-	m.cache.Put(j.hash, res)
-	if m.opts.OnResult != nil {
-		m.opts.OnResult(j.hash, res)
-	}
 	m.finish(j, StateDone, "", &res)
 	m.met.Inc("rrs_jobs_done_total", 1)
 	return true

@@ -28,11 +28,12 @@ var ErrDraining = errors.New("service: server draining")
 // every waiter and drains the backlog to the caller so queued jobs can
 // be failed deliberately rather than leaked.
 type fifo struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []*Job
-	cap    int
-	closed bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	items    []*Job
+	reserved int // slots claimed by reserve, not yet filled by commit
+	cap      int
+	closed   bool
 }
 
 func newFIFO(capacity int) *fifo {
@@ -44,13 +45,45 @@ func newFIFO(capacity int) *fifo {
 // Push appends j, reporting ErrQueueFull at capacity and ErrClosed
 // after Close.
 func (q *fifo) Push(j *Job) error {
+	if err := q.reserve(); err != nil {
+		return err
+	}
+	return q.commit(j)
+}
+
+// reserve claims a slot for a later commit, reporting ErrQueueFull at
+// capacity and ErrClosed after Close. Submit reserves before a job
+// becomes visible, so a full queue refuses the job before any duplicate
+// submission can coalesce onto it or the journal records it.
+func (q *fifo) reserve() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
-	if len(q.items) >= q.cap {
+	if len(q.items)+q.reserved >= q.cap {
 		return ErrQueueFull
+	}
+	q.reserved++
+	return nil
+}
+
+// release gives back a reserved slot that will not be committed.
+func (q *fifo) release() {
+	q.mu.Lock()
+	q.reserved--
+	q.mu.Unlock()
+}
+
+// commit appends j into a slot reserve claimed. It fails only with
+// ErrClosed, when Close ran in between; the slot is given back either
+// way.
+func (q *fifo) commit(j *Job) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.reserved--
+	if q.closed {
+		return ErrClosed
 	}
 	q.items = append(q.items, j)
 	q.cond.Signal()

@@ -202,6 +202,12 @@ type Sweep struct {
 	specs    []Spec
 	hashes   []string
 	children []*Job
+	// resumed maps child hashes to the jobs a journal replay re-enqueued
+	// (restored sweeps only; read-only). The feeder links those jobs
+	// instead of submitting: a re-enqueued child may finish before the
+	// feeder reaches it, and submitting it then would count a child that
+	// really re-ran as a cache hit.
+	resumed map[string]*Job
 
 	state     State
 	err       string
@@ -478,12 +484,15 @@ func specHashes(specs []Spec) []string {
 func (m *Manager) runSweep(sw *Sweep) {
 	defer m.sweepWG.Done()
 feed:
-	for _, spec := range sw.specs {
+	for i, spec := range sw.specs {
 		for {
 			if sw.isCancelled() {
 				break feed
 			}
-			j, err := m.submitSweepChild(spec)
+			j, err := sw.resumed[sw.hashes[i]], error(nil)
+			if j == nil {
+				j, err = m.submitSweepChild(spec)
+			}
 			if err == nil {
 				sw.mu.Lock()
 				sw.children = append(sw.children, j)
@@ -527,6 +536,7 @@ feed:
 			}
 		}
 	}
+	sw.resumed = nil // feeding is over; drop the replay's job index
 	sw.mu.Lock()
 	children := append([]*Job(nil), sw.children...)
 	sw.mu.Unlock()
@@ -694,8 +704,9 @@ func (m *Manager) SweepResults(sw *Sweep) map[string]sim.Result {
 // restoreSweep rebuilds one journaled sweep at startup. Terminal sweeps
 // come back as static records; pending ones re-expand and resume —
 // children that finished before the crash are answered from the
-// replayed result cache (cache hits), only unfinished ones run.
-func (m *Manager) restoreSweep(rs *ReplayedSweep) error {
+// replayed result cache (cache hits), only unfinished ones run, as the
+// jobs Restore re-enqueued (requeued, by hash).
+func (m *Manager) restoreSweep(rs *ReplayedSweep, requeued map[string]*Job) error {
 	specs, err := rs.Spec.Expand()
 	if err != nil {
 		return fmt.Errorf("service: sweep %s replay: %w", rs.ID, err)
@@ -712,6 +723,7 @@ func (m *Manager) restoreSweep(rs *ReplayedSweep) error {
 		submitted: rs.Submitted,
 		finished:  rs.Finished,
 		done:      make(chan struct{}),
+		resumed:   requeued,
 	}
 	if sw.hash == "" {
 		sw.hash = rs.Spec.Hash()

@@ -311,8 +311,10 @@ func TestSweepResumesFromJournalAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let the first two children finish; the third wedges on the gate.
+	// The feeder links children concurrently with the worker running
+	// them, so also wait for all four accept records to be journaled.
 	deadline := time.Now().Add(10 * time.Second)
-	for m1.snapshotSweep(sw1, false).Done < 2 {
+	for v := m1.snapshotSweep(sw1, false); v.Done < 2 || v.Linked < 4; v = m1.snapshotSweep(sw1, false) {
 		if time.Now().After(deadline) {
 			t.Fatalf("sweep never reached 2 done children: %+v", m1.snapshotSweep(sw1, true))
 		}

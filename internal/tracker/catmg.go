@@ -20,10 +20,12 @@ import (
 // deletes adjust only the one set they touch. A cached global minimum with
 // a dirty flag replaces the per-miss scan of all SetMin counters. Both are
 // exactness-preserving, so tracker decisions are bit-identical to the
-// rescan-everything formulation. The one event the single-set bookkeeping
-// cannot see — a cuckoo relocation inside the CAT moving some third entry
-// between sets — is detected via the table's relocation counter and
-// answered with a full SetMin rebuild.
+// rescan-everything formulation. Evictions delete the victim by the slot
+// the minimum search found it in, and misses answer from the table's
+// presence bitset, so neither re-hashes a row. The one event the
+// single-set bookkeeping cannot see — a cuckoo relocation inside the CAT
+// moving some third entry between sets — is detected via the table's
+// relocation counter and answered with a full SetMin rebuild.
 type CAT struct {
 	threshold int64
 	capacity  int
@@ -43,15 +45,6 @@ type CAT struct {
 	// moves during installs.
 	relocs int
 
-	// present is an exact membership bitset over small row ids (bit row
-	// set iff row is tracked). Most activations are of untracked rows —
-	// at most `capacity` of a bank's rows are tracked — so the miss path
-	// answers from one bit probe instead of two keyed-hash set scans.
-	// Rows >= maxBitsetRows are counted in bigRows and always take the
-	// table lookup.
-	present []uint64
-	bigRows int
-
 	// Eviction log for the differential oracle (EvictionReporter);
 	// recording is off until logEvictions is armed.
 	logEvictions bool
@@ -67,42 +60,6 @@ type CAT struct {
 func (t *CAT) SetObs(rec *obs.Recorder, bank int32) {
 	t.rec = rec
 	t.obsBank = bank
-}
-
-// maxBitsetRows bounds the presence bitset at 512 KiB so adversarial
-// 64-bit row ids (fuzzers, tests) cannot balloon it.
-const maxBitsetRows = 1 << 22
-
-func (t *CAT) mightContain(row uint64) bool {
-	if row < maxBitsetRows {
-		w := row >> 6
-		return w < uint64(len(t.present)) && t.present[w]&(1<<(row&63)) != 0
-	}
-	return t.bigRows > 0
-}
-
-func (t *CAT) addPresent(row uint64) {
-	if row >= maxBitsetRows {
-		t.bigRows++
-		return
-	}
-	w := row >> 6
-	if w >= uint64(len(t.present)) {
-		grown := make([]uint64, 2*(w+1))
-		copy(grown, t.present)
-		t.present = grown
-	}
-	t.present[w] |= 1 << (row & 63)
-}
-
-func (t *CAT) removePresent(row uint64) {
-	if row >= maxBitsetRows {
-		t.bigRows--
-		return
-	}
-	if w := row >> 6; w < uint64(len(t.present)) {
-		t.present[w] &^= 1 << (row & 63)
-	}
 }
 
 var (
@@ -146,7 +103,7 @@ func NewCAT(spec cat.Spec, capacity int, threshold int64, seed uint64) (*CAT, er
 // the cached global minimum.
 func (t *CAT) recomputeSetMin(ti, s int) {
 	min := int64(math.MaxInt64)
-	t.tab.ForEachInSet(ti, s, func(_ uint64, v *int64) bool {
+	t.tab.ForEachInSet(ti, s, func(_ int, _ uint64, v *int64) bool {
 		if *v < min {
 			min = *v
 		}
@@ -175,7 +132,7 @@ func (t *CAT) recomputeAllSetMin() {
 	for ti := 0; ti < 2; ti++ {
 		for s := range t.setMin[ti] {
 			min := int64(math.MaxInt64)
-			t.tab.ForEachInSet(ti, s, func(_ uint64, v *int64) bool {
+			t.tab.ForEachInSet(ti, s, func(_ int, _ uint64, v *int64) bool {
 				if *v < min {
 					min = *v
 				}
@@ -210,21 +167,19 @@ func (t *CAT) globalMin() int64 {
 
 // Observe implements Tracker.
 func (t *CAT) Observe(row uint64) bool {
-	if t.mightContain(row) {
-		if ti, s, p := t.tab.LookupPos(row); p != nil {
-			prev := *p
-			*p = prev + 1
-			// Only the holding set's minimum can change, and only if
-			// this entry sat at it.
-			if prev == t.setMin[ti][s] {
-				t.recomputeSetMin(ti, s)
-			}
-			crossed := crossedMultiple(prev, prev+1, t.threshold)
-			if crossed && t.rec != nil {
-				t.rec.RecordNow(obs.KindHRTCross, t.obsBank, row, uint64(prev+1))
-			}
-			return crossed
+	if ti, s, p := t.tab.LookupPos(row); p != nil {
+		prev := *p
+		*p = prev + 1
+		// Only the holding set's minimum can change, and only if this
+		// entry sat at it.
+		if prev == t.setMin[ti][s] {
+			t.recomputeSetMin(ti, s)
 		}
+		crossed := crossedMultiple(prev, prev+1, t.threshold)
+		if crossed && t.rec != nil {
+			t.rec.RecordNow(obs.KindHRTCross, t.obsBank, row, uint64(prev+1))
+		}
+		return crossed
 	}
 	// Installs never trigger (see the CAM implementation's comment: an
 	// untracked row's true count is bounded by the spill counter < T).
@@ -242,19 +197,16 @@ func (t *CAT) Observe(row uint64) bool {
 	}
 	// Replace an entry holding the minimum count: find a set whose SetMin
 	// equals the global minimum and evict a minimum entry from it.
-	victim, found := t.findMinEntry(min)
-	if found {
-		if vti, vs, ok := t.tab.DeletePos(victim); ok {
-			if t.logEvictions {
-				t.lastEvicted = victim
-				t.evictions++
-			}
-			if t.rec != nil {
-				t.rec.RecordNow(obs.KindHRTEvict, t.obsBank, victim, uint64(min))
-			}
-			t.removePresent(victim)
-			t.recomputeSetMin(vti, vs)
+	if vti, vs, way, found := t.findMinEntry(min); found {
+		victim := t.tab.DeleteAt(vti, vs, way)
+		if t.logEvictions {
+			t.lastEvicted = victim
+			t.evictions++
 		}
+		if t.rec != nil {
+			t.rec.RecordNow(obs.KindHRTEvict, t.obsBank, victim, uint64(min))
+		}
+		t.recomputeSetMin(vti, vs)
 	}
 	t.install(row, t.spill+1)
 	if t.rec != nil {
@@ -271,20 +223,18 @@ func (t *CAT) ObserveN(row uint64, n int64) int {
 	if n <= 0 {
 		return 0
 	}
-	if t.mightContain(row) {
-		if ti, s, p := t.tab.LookupPos(row); p != nil {
-			prev := *p
-			*p = prev + n
-			if prev == t.setMin[ti][s] {
-				t.recomputeSetMin(ti, s)
-			}
-			fired := int((prev+n)/t.threshold - prev/t.threshold)
-			if fired > 0 && t.rec != nil {
-				// The burst collapses into one event at the final count.
-				t.rec.RecordNow(obs.KindHRTCross, t.obsBank, row, uint64(prev+n))
-			}
-			return fired
+	if ti, s, p := t.tab.LookupPos(row); p != nil {
+		prev := *p
+		*p = prev + n
+		if prev == t.setMin[ti][s] {
+			t.recomputeSetMin(ti, s)
 		}
+		fired := int((prev+n)/t.threshold - prev/t.threshold)
+		if fired > 0 && t.rec != nil {
+			// The burst collapses into one event at the final count.
+			t.rec.RecordNow(obs.KindHRTCross, t.obsBank, row, uint64(prev+n))
+		}
+		return fired
 	}
 	fired := 0
 	for i := int64(0); i < n; i++ {
@@ -295,26 +245,27 @@ func (t *CAT) ObserveN(row uint64, n int64) int {
 	return fired
 }
 
-// findMinEntry locates some entry whose count equals min.
-func (t *CAT) findMinEntry(min int64) (row uint64, found bool) {
-	for ti := 0; ti < 2 && !found; ti++ {
-		for s, m := range t.setMin[ti] {
-			if m != min {
+// findMinEntry locates the first entry (in table, set, way order) whose
+// count equals min and returns its slot.
+func (t *CAT) findMinEntry(min int64) (ti, s, way int, found bool) {
+	for ti = 0; ti < 2; ti++ {
+		for s = range t.setMin[ti] {
+			if t.setMin[ti][s] != min {
 				continue
 			}
-			t.tab.ForEachInSet(ti, s, func(key uint64, v *int64) bool {
+			t.tab.ForEachInSet(ti, s, func(w int, _ uint64, v *int64) bool {
 				if *v == min {
-					row, found = key, true
+					way, found = w, true
 					return false
 				}
 				return true
 			})
 			if found {
-				return row, true
+				return ti, s, way, true
 			}
 		}
 	}
-	return row, found
+	return 0, 0, 0, false
 }
 
 // install adds row at the given count; a CAT conflict (astronomically rare
@@ -322,9 +273,6 @@ func (t *CAT) findMinEntry(min int64) (row uint64, found bool) {
 // the tracker more conservative about the spill bound on the next miss.
 func (t *CAT) install(row uint64, cnt int64) {
 	ti, s, vp := t.tab.InstallPos(row, cnt)
-	if vp != nil {
-		t.addPresent(row)
-	}
 	if r := t.tab.Relocations(); r != t.relocs {
 		// A cuckoo move shifted a third entry between sets; the
 		// incremental bookkeeping cannot attribute it, so rebuild.
@@ -353,15 +301,10 @@ func (t *CAT) Evictions() uint64 { return t.evictions }
 func (t *CAT) LastEvicted() uint64 { return t.lastEvicted }
 
 // Contains implements Tracker.
-func (t *CAT) Contains(row uint64) bool {
-	return t.mightContain(row) && t.tab.Contains(row)
-}
+func (t *CAT) Contains(row uint64) bool { return t.tab.Contains(row) }
 
 // Count implements Tracker.
 func (t *CAT) Count(row uint64) (int64, bool) {
-	if !t.mightContain(row) {
-		return 0, false
-	}
 	if p := t.tab.Lookup(row); p != nil {
 		return *p, true
 	}
@@ -392,6 +335,4 @@ func (t *CAT) Reset() {
 	}
 	t.gmin = math.MaxInt64
 	t.gminDirty = false
-	clear(t.present)
-	t.bigRows = 0
 }

@@ -25,15 +25,14 @@ var (
 //     its set (MaxInt64 when empty), and the cached global minimum
 //     agrees when its dirty flag is clear.
 //   - tracker/relocs: the memoized relocation counter matches the table's.
-//   - tracker/presence: the fast-path bitset (and bigRows counter) agree
-//     exactly with table membership.
 //   - tracker/spill: no tracked count is below the spill counter (the
 //     Misra-Gries lower bound: estimates start at spill+1 and the spill
 //     counter only advances past the minimum).
 //   - tracker/count: entry count within capacity.
 //
 // It also runs the underlying cat.Table's own structural checks, so a
-// paranoid run covers CAT occupancy/placement/memo through the tracker.
+// paranoid run covers CAT occupancy/placement/memo/presence through the
+// tracker.
 func (t *CAT) CheckInvariants() error {
 	if err := t.tab.CheckInvariants(); err != nil {
 		return err
@@ -42,7 +41,7 @@ func (t *CAT) CheckInvariants() error {
 	for ti := 0; ti < 2; ti++ {
 		for s := range t.setMin[ti] {
 			min := int64(math.MaxInt64)
-			t.tab.ForEachInSet(ti, s, func(_ uint64, v *int64) bool {
+			t.tab.ForEachInSet(ti, s, func(_ int, _ uint64, v *int64) bool {
 				if *v < min {
 					min = *v
 				}
@@ -72,37 +71,6 @@ func (t *CAT) CheckInvariants() error {
 	if t.tab.Len() > t.capacity {
 		return invariant.Violatedf("tracker/count",
 			"%d entries exceed capacity %d", t.tab.Len(), t.capacity)
-	}
-	bigSeen := 0
-	var verr error
-	t.tab.ForEach(func(k uint64, _ *int64) bool {
-		if k >= maxBitsetRows {
-			bigSeen++
-			return true
-		}
-		if w := k >> 6; w >= uint64(len(t.present)) || t.present[w]&(1<<(k&63)) == 0 {
-			verr = invariant.Violatedf("tracker/presence",
-				"row %d is tracked but its presence bit is clear", k)
-			return false
-		}
-		return true
-	})
-	if verr != nil {
-		return verr
-	}
-	if bigSeen != t.bigRows {
-		return invariant.Violatedf("tracker/presence",
-			"bigRows counter %d, actual large-id entries %d", t.bigRows, bigSeen)
-	}
-	set := 0
-	for _, w := range t.present {
-		for ; w != 0; w &= w - 1 {
-			set++
-		}
-	}
-	if set+bigSeen != t.tab.Len() {
-		return invariant.Violatedf("tracker/presence",
-			"%d presence bits + %d large ids, but table holds %d entries", set, bigSeen, t.tab.Len())
 	}
 	return nil
 }
@@ -205,23 +173,12 @@ func (t *CAT) CorruptRelocsForTest(delta int) { t.relocs += delta }
 // CorruptSpillForTest skews the spill counter.
 func (t *CAT) CorruptSpillForTest(delta int64) { t.spill += delta }
 
-// CorruptPresenceForTest flips row's presence bit (rows under the bitset
-// bound only).
-func (t *CAT) CorruptPresenceForTest(row uint64) {
-	if row >= maxBitsetRows {
-		return
-	}
-	w := row >> 6
-	if w >= uint64(len(t.present)) {
-		grown := make([]uint64, 2*(w+1))
-		copy(grown, t.present)
-		t.present = grown
-	}
-	t.present[w] ^= 1 << (row & 63)
-}
+// CorruptPresenceForTest flips row's presence bit in the table (rows
+// under the bitset bound only).
+func (t *CAT) CorruptPresenceForTest(row uint64) { t.tab.CorruptPresenceForTest(row) }
 
-// CorruptBigRowsForTest skews the large-id entry counter.
-func (t *CAT) CorruptBigRowsForTest(delta int) { t.bigRows += delta }
+// CorruptBigRowsForTest skews the table's large-key counter.
+func (t *CAT) CorruptBigRowsForTest(delta int) { t.tab.CorruptBigKeysForTest(delta) }
 
 // TableForTest exposes the underlying CAT so the fault-injection suite
 // can corrupt table-level state (memo, invalid-way counters) through a

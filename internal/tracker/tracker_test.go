@@ -453,3 +453,54 @@ func BenchmarkCATObserve(b *testing.B) {
 		tr.Observe(rows[i%len(rows)])
 	}
 }
+
+// TestCATEvictionsAgreeWithShadow runs the paper-geometry tracker under
+// the differential oracle on an mcf-like stream — mostly rows seen once,
+// a few hot ones — so nearly every miss evicts through findMinEntry and
+// DeleteAt. The oracle checks that every reported victim held the
+// minimum count and that counts, spill and membership stay in step.
+func TestCATEvictionsAgreeWithShadow(t *testing.T) {
+	eng := invariant.NewEngine()
+	inner := mustCAT(cat.Spec{Sets: 64, Ways: 20}, 1700, 800, 3)
+	sh := NewShadow(inner, eng)
+	rng := prince.Seeded(8)
+	for i := 0; i < 100000; i++ {
+		row := uint64(rng.Intn(1 << 17))
+		if rng.Intn(8) == 0 {
+			row = uint64(rng.Intn(64))
+		}
+		sh.Observe(row)
+		if err := eng.Err(); err != nil {
+			t.Fatalf("observation %d (row %d): %v", i, row, err)
+		}
+	}
+	if err := sh.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if ev := inner.Evictions(); ev < 50000 {
+		t.Fatalf("only %d evictions; the stream does not exercise the eviction path", ev)
+	}
+}
+
+// BenchmarkObserveEvict is the tracker's miss path under an mcf-like
+// stream: a full paper-geometry CAT tracker fed rows it has not seen, so
+// nearly every Observe evicts the minimum entry and installs the row.
+func BenchmarkObserveEvict(b *testing.B) {
+	tr := mustCAT(cat.Spec{Sets: 64, Ways: 20}, 1700, 800, 1)
+	rng := prince.Seeded(1)
+	rows := make([]uint64, 1<<16)
+	for i := range rows {
+		rows[i] = uint64(rng.Intn(1 << 22))
+	}
+	for _, r := range rows[:1700] {
+		tr.Observe(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Observe(rows[i%len(rows)])
+	}
+}
