@@ -117,9 +117,12 @@ bench-parallel:
 # every hook layered onto it (paranoid checks, event recording) — must
 # stay at 0 allocs/op when its feature is off. CI runs this next to
 # bench-guard so an accidental allocation (closure capture, interface
-# boxing) fails loudly instead of surfacing as throughput drift.
+# boxing) fails loudly instead of surfacing as throughput drift. The
+# AllocBytes pins cap construction and first-swap allocation at Table 2
+# geometry, so a row-indexed array over a whole bank cannot come back
+# unnoticed where only the touched rows need state.
 alloc-check:
-	$(GO) test -run 'AllocFree' -count=1 ./internal/rit ./internal/tracker \
+	$(GO) test -run 'AllocFree|AllocBytes' -count=1 ./internal/rit ./internal/tracker \
 		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation
 
 # shootout-smoke runs the cross-defense comparison at quick scale with

@@ -58,11 +58,12 @@ const idxCacheBits = 13
 // 64-bit keys (fuzzers, tests) cannot balloon it.
 const maxBitsetKeys = 1 << 22
 
-// setPair memoizes the two candidate set indices of one key. s0 == -1
-// marks an empty entry (valid indices are non-negative).
+// setPair memoizes the two candidate set indices of one key. s0p1 holds
+// s0+1, so the zero value marks an empty entry and a fresh memo needs no
+// initialization pass.
 type setPair struct {
-	key    uint64
-	s0, s1 int32
+	key      uint64
+	s0p1, s1 int32
 }
 
 // Table is a CAT holding values of type V keyed by 64-bit keys (row ids).
@@ -80,6 +81,9 @@ type Table[V any] struct {
 	// memo never needs invalidation (Clear keeps the hash keys) and is
 	// exactness-preserving; it exists because the two PRINCE evaluations
 	// dominate the lookup cost and row accesses are heavily repetitive.
+	// It is nil until the first memo miss, so tables that only ever
+	// answer from the presence bitset (a swap-free run's RIT) never
+	// allocate it.
 	idxCache []setPair
 	// present is an exact membership bitset over small keys: bit k is set
 	// iff key k is stored. Both owners look up far more absent keys than
@@ -115,10 +119,6 @@ func New[V any](spec Spec, seed uint64) *Table[V] {
 	kg := prince.Seeded(seed)
 	t.hash[0] = prince.NewHash64(kg.Next(), kg.Next())
 	t.hash[1] = prince.NewHash64(kg.Next(), kg.Next())
-	t.idxCache = make([]setPair, 1<<idxCacheBits)
-	for i := range t.idxCache {
-		t.idxCache[i].s0 = -1
-	}
 	return t
 }
 
@@ -141,13 +141,16 @@ func (t *Table[V]) setIndex(ti int, key uint64) int {
 
 // setsOf returns both candidate set indices through the memo cache.
 func (t *Table[V]) setsOf(key uint64) (int, int) {
-	e := &t.idxCache[key&(1<<idxCacheBits-1)]
-	if e.s0 >= 0 && e.key == key {
-		return int(e.s0), int(e.s1)
+	if t.idxCache == nil {
+		t.idxCache = make([]setPair, 1<<idxCacheBits)
 	}
-	s0 := int(t.hash[0].Sum(key) % uint64(t.spec.Sets))
-	s1 := int(t.hash[1].Sum(key) % uint64(t.spec.Sets))
-	*e = setPair{key: key, s0: int32(s0), s1: int32(s1)}
+	e := &t.idxCache[key&(1<<idxCacheBits-1)]
+	if e.s0p1 != 0 && e.key == key {
+		return int(e.s0p1 - 1), int(e.s1)
+	}
+	s0 := t.setIndex(0, key)
+	s1 := t.setIndex(1, key)
+	*e = setPair{key: key, s0p1: int32(s0) + 1, s1: int32(s1)}
 	return s0, s1
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/invariant"
 	"repro/internal/prince"
 )
 
@@ -445,6 +446,32 @@ func TestDeleteAtInvalidWayPanics(t *testing.T) {
 		}
 	}()
 	tab.DeleteAt(ti, s, way)
+}
+
+// TestMemoKeyZeroSetZero pins the memo's zero-value encoding: key 0
+// hashing to set 0 in both tables (forced by a one-set geometry) is a
+// live memo entry, not the empty marker, so the memo answers for it and
+// the cat/memo check inspects it.
+func TestMemoKeyZeroSetZero(t *testing.T) {
+	tab := New[int](Spec{Sets: 1, Ways: 4}, 9)
+	if s0, s1 := tab.SetsOf(0); s0 != 0 || s1 != 0 {
+		t.Fatalf("SetsOf(0) = (%d,%d) in a one-set table", s0, s1)
+	}
+	if e := tab.idxCache[0]; e.s0p1 == 0 || e.key != 0 {
+		t.Fatalf("memo entry for key 0 reads as empty: %+v", e)
+	}
+	if tab.Install(0, 1) == nil || *tab.Lookup(0) != 1 {
+		t.Fatal("key 0 not stored")
+	}
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !tab.CorruptMemoForTest(0, 3, 3) {
+		t.Fatal("corruption hook skipped key 0's memo entry as empty")
+	}
+	if v := invariant.AsViolation(tab.CheckInvariants()); v == nil || v.Invariant != "cat/memo" {
+		t.Fatalf("stale memo entry for key 0 undetected: %v", v)
+	}
 }
 
 // BenchmarkInstallDelete is the tracker's eviction churn on the paper's

@@ -59,7 +59,7 @@ func (t *Table[V]) CheckInvariants() error {
 	}
 	for i := range t.idxCache {
 		e := &t.idxCache[i]
-		if e.s0 < 0 {
+		if e.s0p1 == 0 {
 			continue
 		}
 		if int(e.key&(1<<idxCacheBits-1)) != i {
@@ -67,12 +67,11 @@ func (t *Table[V]) CheckInvariants() error {
 				"memo slot %d holds key %#x whose low bits select slot %d",
 				i, e.key, e.key&(1<<idxCacheBits-1))
 		}
-		s0 := int(t.hash[0].Sum(e.key) % uint64(t.spec.Sets))
-		s1 := int(t.hash[1].Sum(e.key) % uint64(t.spec.Sets))
-		if int(e.s0) != s0 || int(e.s1) != s1 {
+		s0, s1 := t.setIndex(0, e.key), t.setIndex(1, e.key)
+		if int(e.s0p1-1) != s0 || int(e.s1) != s1 {
 			return invariant.Violatedf("cat/memo",
 				"memo for key %#x caches sets (%d,%d), hashes give (%d,%d)",
-				e.key, e.s0, e.s1, s0, s1)
+				e.key, e.s0p1-1, e.s1, s0, s1)
 		}
 	}
 	return t.CheckPresence()
@@ -124,14 +123,17 @@ func (t *Table[V]) CheckPresence() error {
 // checker detects every corruption class. They exist for tests only and
 // must never be called by production code.
 
-// CorruptMemoForTest overwrites the set-index memo entry for key (which
-// must currently be cached) with the given candidate sets.
+// CorruptMemoForTest overwrites the set-index memo entry for key with the
+// given candidate sets, reporting whether key was cached.
 func (t *Table[V]) CorruptMemoForTest(key uint64, s0, s1 int32) bool {
-	e := &t.idxCache[key&(1<<idxCacheBits-1)]
-	if e.s0 < 0 || e.key != key {
+	if t.idxCache == nil {
 		return false
 	}
-	e.s0, e.s1 = s0, s1
+	e := &t.idxCache[key&(1<<idxCacheBits-1)]
+	if e.s0p1 == 0 || e.key != key {
+		return false
+	}
+	e.s0p1, e.s1 = s0+1, s1
 	return true
 }
 

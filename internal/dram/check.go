@@ -19,11 +19,10 @@ func (s *System) EnableParanoid(eng *invariant.Engine) {
 //   - dram/structure: every dirty-list entry names a distinct row with a
 //     nonzero activation count (the epoch-reset fast path clears exactly
 //     the dirty rows, so a zero-count or duplicated entry means counts
-//     would leak across epochs); the overflow map holds only rows past
-//     the dense content bound; allocated dense tiers are sized to the
-//     bound.
+//     would leak across epochs); the content map holds only rows of
+//     the bank, so no swap wrote a tag past RowsPerBank.
 //
-// Cost is O(dirty + overflow) per bank — never O(RowsPerBank).
+// Cost is O(dirty + written rows) per bank — never O(RowsPerBank).
 func (s *System) CheckInvariants() error {
 	for i := range s.banks {
 		b := &s.banks[i]
@@ -43,15 +42,11 @@ func (s *System) CheckInvariants() error {
 			}
 			seen[r] = struct{}{}
 		}
-		for r := range b.overflow {
-			if r < s.denseRows {
+		for r := range b.content {
+			if uint(r) >= uint(s.cfg.RowsPerBank) {
 				return invariant.Violatedf("dram/structure",
-					"bank %d: overflow map holds row %d, inside the dense tier (bound %d)", i, r, s.denseRows)
+					"bank %d: content map holds row %d beyond the bank's %d rows", i, r, s.cfg.RowsPerBank)
 			}
-		}
-		if b.content != nil && (len(b.content) != s.denseRows || len(b.written) != (s.denseRows+63)/64) {
-			return invariant.Violatedf("dram/structure",
-				"bank %d: dense tier sized %d/%d words, bound is %d rows", i, len(b.content), len(b.written), s.denseRows)
 		}
 	}
 	return nil
@@ -74,12 +69,8 @@ func (s *System) CorruptDirtyForTest(id BankID, row int) {
 	b.dirty = append(b.dirty, int32(row))
 }
 
-// CorruptOverflowForTest plants a content tag for row in the bank's
-// overflow map regardless of the dense bound.
-func (s *System) CorruptOverflowForTest(id BankID, row int, v uint64) {
-	b := s.BankState(id)
-	if b.overflow == nil {
-		b.overflow = make(map[int]uint64)
-	}
-	b.overflow[row] = v
+// CorruptContentForTest plants a content tag for row in the bank's
+// content map without checking that the bank has such a row.
+func (s *System) CorruptContentForTest(id BankID, row int, v uint64) {
+	s.SetRowContent(id, row, v)
 }

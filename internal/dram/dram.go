@@ -62,18 +62,11 @@ type Bank struct {
 	acts  []int32
 	dirty []int32
 
-	// Per-row 64-bit data tags verify that swaps move data. The store is
-	// two-tier: rows below the system's dense bound live in a flat
-	// row-indexed slice guarded by a written bitset (content/written,
-	// allocated on the bank's first write, so content-free runs pay
-	// nothing), and rows past the bound — which exist only in geometries
-	// far larger than Table 2 — spill to the sparse overflow map. Rows
-	// never written hold their identity tag in both tiers. The dense tier
-	// keeps RowContent map-free and allocation-free: it is on the
-	// per-access path via memctrl reads and every swap transfer.
-	content  []uint64
-	written  []uint64 // bitset over content
-	overflow map[int]uint64
+	// content holds the 64-bit data tags of rows written by swaps (and by
+	// the ReadLine/WriteLine test helpers); other rows hold their identity
+	// tag. Swaps scatter over the bank, so a map keeps memory proportional
+	// to the rows they touch. No per-access path reads it.
+	content map[int]uint64
 
 	// Stats for the power model (cumulative, not reset per epoch).
 	StatActs   int64
@@ -87,7 +80,6 @@ type System struct {
 	banks      []Bank  // index: ((channel*ranks)+rank)*banks + bank
 	busFree    []int64 // per channel: first cycle the data bus is free
 	blocked    []int64 // per channel: blocked until (swap transfers)
-	denseRows  int     // rows per bank covered by the dense content tier
 	listeners  []ActListener
 	epochHooks []func()
 
@@ -101,11 +93,6 @@ type System struct {
 	tearNextSwap bool
 }
 
-// maxDenseContentRows bounds the dense content tier per bank (8 MB of
-// tags at the bound). Table 2's 128 Ki rows/bank sits fully inside it;
-// only far larger experimental geometries ever reach the overflow map.
-const maxDenseContentRows = 1 << 20
-
 // New creates a DRAM system for the given configuration. The error wraps
 // invariant.ErrBadGeometry when the configuration fails validation.
 func New(cfg config.Config) (*System, error) {
@@ -118,10 +105,6 @@ func New(cfg config.Config) (*System, error) {
 		banks:   make([]Bank, n),
 		busFree: make([]int64, cfg.Channels),
 		blocked: make([]int64, cfg.Channels),
-	}
-	s.denseRows = cfg.RowsPerBank
-	if s.denseRows > maxDenseContentRows {
-		s.denseRows = maxDenseContentRows
 	}
 	for i := range s.banks {
 		s.banks[i].OpenRow = NoRow
@@ -301,42 +284,21 @@ func (s *System) ResetEpoch() {
 
 // RowContent returns the data tag stored in the physical row. Rows never
 // written hold their identity tag (a function of the bank and row id), so
-// swap verification does not need to pre-populate memory. The dense-tier
-// path performs no map lookups and no allocations.
+// swap verification does not need to pre-populate memory.
 func (s *System) RowContent(id BankID, row int) uint64 {
-	b := s.BankState(id)
-	if uint(row) < uint(len(b.content)) {
-		if b.written[uint(row)>>6]&(1<<(uint(row)&63)) != 0 {
-			return b.content[row]
-		}
-		return identityTag(id, row)
+	if v, ok := s.BankState(id).content[row]; ok {
+		return v
 	}
-	if row >= s.denseRows {
-		if v, ok := b.overflow[row]; ok {
-			return v
-		}
-	}
-	// Dense tier not yet allocated (bank never written) or overflow miss.
 	return identityTag(id, row)
 }
 
-// SetRowContent overwrites the physical row's data tag. The bank's dense
-// tier is allocated on its first write.
+// SetRowContent overwrites the physical row's data tag.
 func (s *System) SetRowContent(id BankID, row int, v uint64) {
 	b := s.BankState(id)
-	if row < s.denseRows {
-		if b.content == nil {
-			b.content = make([]uint64, s.denseRows)
-			b.written = make([]uint64, (s.denseRows+63)/64)
-		}
-		b.content[row] = v
-		b.written[uint(row)>>6] |= 1 << (uint(row) & 63)
-		return
+	if b.content == nil {
+		b.content = make(map[int]uint64)
 	}
-	if b.overflow == nil {
-		b.overflow = make(map[int]uint64)
-	}
-	b.overflow[row] = v
+	b.content[row] = v
 }
 
 // SwapRows exchanges the contents of two physical rows in one bank (the

@@ -355,8 +355,8 @@ func TestFaultDRAMStructure(t *testing.T) {
 		{"dirty-duplicate", func(sys *dram.System, id dram.BankID) {
 			sys.CorruptDirtyForTest(id, 3) // already dirty from warmup
 		}},
-		{"overflow-in-dense-tier", func(sys *dram.System, id dram.BankID) {
-			sys.CorruptOverflowForTest(id, 5, 42)
+		{"content-out-of-bank", func(sys *dram.System, id dram.BankID) {
+			sys.CorruptContentForTest(id, sys.Config().RowsPerBank, 42)
 		}},
 	}
 	for _, tc := range cases {

@@ -8,7 +8,8 @@
 // the Misra-Gries count bounds, CAT occupancy accounting, swap-buffer
 // data conservation. The software reproduction re-derives several of
 // those properties through redundant state (presence bitsets, dense
-// slices, memoized set indexes, cached minima) that can silently drift.
+// slices, sparse maps, paged permutations, memoized set indexes, cached
+// minima) that can silently drift.
 // This package makes the properties machine-checked: each structure
 // package exports a CheckInvariants method (and, where drift is only
 // visible differentially, a map-based shadow model), and the engine runs
@@ -36,8 +37,8 @@
 //     slots), size accounting, slot-placement consistency (every key
 //     sits in a set its hashes select), set-index memo integrity, no
 //     duplicate keys, and presence-bitset agreement (cat/presence).
-//   - dram/structure: dense-slice/overflow-map disjointness, activation
-//     count/dirty-list agreement, content/written tier sizing.
+//   - dram/structure: activation count/dirty-list agreement, and the
+//     sparse content map holding only rows inside the bank.
 //   - dram/swap-conservation: every SwapRows/CycleRows is re-read after
 //     the transfer and compared against the contents captured before it
 //     (the ~2.9 us swap+unswap window of Figure 4 must conserve row

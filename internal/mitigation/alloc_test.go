@@ -1,9 +1,12 @@
 package mitigation
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/dram"
+	"repro/internal/tracker"
 )
 
 // TestZooHotPathAllocFree pins the 0 allocs/op contract for the zoo
@@ -67,4 +70,34 @@ func TestZooHotPathAllocFree(t *testing.T) {
 			t.Fatalf("DAPPER.OnActivate allocates %.2f allocs/op, want 0", avg)
 		}
 	})
+}
+
+// allocBytes returns the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNewSRSAllocBytes pins the lazy permutation at Table 2 geometry:
+// beyond its slot trackers (about 66 KiB of CAM per bank at paper
+// sizing), a fresh SRS holds only page tables for its identity
+// permutations, not two row-indexed arrays per bank (32 MiB over 32
+// banks of 128 Ki rows).
+func TestNewSRSAllocBytes(t *testing.T) {
+	cfg := config.Default()
+	sys := dram.MustNew(cfg)
+	var s *SRS
+	total := allocBytes(func() { s = NewSRS(sys, DefaultSRSParams(cfg)) })
+	cams := make([]*tracker.CAM, len(s.units))
+	trackers := allocBytes(func() {
+		for i := range cams {
+			cams[i], _ = tracker.NewCAM(s.params.TrackerEntries, s.params.SwapThreshold)
+		}
+	})
+	if n := total - trackers; n >= 1<<20 {
+		t.Fatalf("NewSRS allocated %d bytes beyond its %d bytes of trackers, want < 1 MiB", n, trackers)
+	}
 }

@@ -51,10 +51,41 @@ type srsUnit struct {
 	// from RRS's logical-row tracker).
 	hrt tracker.Tracker
 	// perm maps logical row -> physical row; inv is its inverse.
-	perm []int32
-	inv  []int32
+	perm rowMap
+	inv  rowMap
 	rng  *prince.CTR
 	bank int32
+}
+
+// rowPageBits sizes a rowMap page: 1024 rows, 4 KiB.
+const rowPageBits = 10
+
+// rowMap is a map of a bank's rows onto themselves that starts as the
+// identity. Each row's image is stored as an XOR delta from the row, in
+// pages allocated at the first non-identity write, so a zero delta or a
+// missing page means "unmoved" and a run materializes only the pages of
+// the few thousand rows its swaps scatter over the bank.
+type rowMap []*[1 << rowPageBits]int32
+
+// at returns row's image.
+func (m rowMap) at(row int) int {
+	if p := m[row>>rowPageBits]; p != nil {
+		return row ^ int(p[row&(1<<rowPageBits-1)])
+	}
+	return row
+}
+
+// set maps row to v.
+func (m rowMap) set(row, v int) {
+	p := m[row>>rowPageBits]
+	if p == nil {
+		if row == v {
+			return
+		}
+		p = new([1 << rowPageBits]int32)
+		m[row>>rowPageBits] = p
+	}
+	p[row&(1<<rowPageBits-1)] = int32(row ^ v)
 }
 
 // SRSStats counts SRS activity.
@@ -136,6 +167,7 @@ func NewSRS(sys *dram.System, p SRSParams) *SRS {
 		ritPenalty: int64(float64(cfg.RITLatencyCPUCycles)/config.CPUCyclesPerBusCycle + 0.5),
 	}
 	seeds := prince.Seeded(p.Seed)
+	pages := (cfg.RowsPerBank + 1<<rowPageBits - 1) >> rowPageBits
 	for i := range s.units {
 		cam, err := tracker.NewCAM(p.TrackerEntries, p.SwapThreshold)
 		if err != nil {
@@ -146,12 +178,8 @@ func NewSRS(sys *dram.System, p SRSParams) *SRS {
 		u.hrt = cam
 		u.rng = prince.NewCTR(seeds.Next(), seeds.Next())
 		u.bank = int32(i)
-		u.perm = make([]int32, cfg.RowsPerBank)
-		u.inv = make([]int32, cfg.RowsPerBank)
-		for r := range u.perm {
-			u.perm[r] = int32(r)
-			u.inv[r] = int32(r)
-		}
+		u.perm = make(rowMap, pages)
+		u.inv = make(rowMap, pages)
 	}
 	return s
 }
@@ -168,13 +196,13 @@ func (s *SRS) unit(id dram.BankID) *srsUnit {
 
 // Remap implements memctrl.Mitigation: the unified-table lookup.
 func (s *SRS) Remap(id dram.BankID, row int) int {
-	return int(s.unit(id).perm[row])
+	return s.unit(id).perm.at(row)
 }
 
 // Occupant returns the logical row currently resident in the physical
 // slot — the attack package's white-box oracle (attack.OccupantFinder).
 func (s *SRS) Occupant(id dram.BankID, physRow int) int {
-	return int(s.unit(id).inv[physRow])
+	return s.unit(id).inv.at(physRow)
 }
 
 // ActivateDelay implements memctrl.Mitigation; SRS never throttles.
@@ -213,11 +241,13 @@ func (s *SRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.Ac
 		res.Headroom = s.headroom(u, uint64(physRow))
 		return res
 	}
-	destPhys := int(u.perm[dest])
+	destPhys := u.perm.at(dest)
 	s.sys.SwapRows(id, physRow, destPhys, now)
-	occ := u.inv[physRow]
-	u.perm[occ], u.perm[dest] = int32(destPhys), int32(physRow)
-	u.inv[physRow], u.inv[destPhys] = int32(dest), occ
+	occ := u.inv.at(physRow)
+	u.perm.set(occ, destPhys)
+	u.perm.set(dest, physRow)
+	u.inv.set(physRow, dest)
+	u.inv.set(destPhys, occ)
 	s.stat.Swaps++
 	s.stat.BlockCycles += s.params.SwapOpCycles
 	if rec := s.rec; rec != nil {
@@ -261,7 +291,7 @@ func (s *SRS) pickDestination(u *srsUnit, physRow int) (int, bool) {
 	n := uint64(s.cfg.RowsPerBank)
 	for try := 0; try < 64; try++ {
 		d := int(u.rng.Uint64n(n))
-		dp := uint64(u.perm[d])
+		dp := uint64(u.perm.at(d))
 		if int(dp) == physRow || u.hrt.Contains(dp) {
 			if try == 0 {
 				s.stat.DestRerolls++
@@ -293,18 +323,29 @@ func (s *SRS) EnableParanoid(eng *invariant.Engine) {
 }
 
 // CheckInvariants verifies that every bank's perm/inv pair is a mutually
-// inverse permutation — the unified table's structural invariant.
+// inverse permutation — the unified table's structural invariant. Rows
+// outside every materialized page of both maps are the identity in both,
+// so checking both compositions on each row of those pages covers the
+// whole bank.
 func (s *SRS) CheckInvariants() error {
+	rows := s.cfg.RowsPerBank
 	for i := range s.units {
 		u := &s.units[i]
-		for r, p := range u.perm {
-			if p < 0 || int(p) >= len(u.inv) {
-				return invariant.Violatedf("srs/permutation",
-					"bank %d: perm[%d] = %d out of range", i, r, p)
+		for pg := range u.perm {
+			if u.perm[pg] == nil && u.inv[pg] == nil {
+				continue
 			}
-			if int(u.inv[p]) != r {
-				return invariant.Violatedf("srs/permutation",
-					"bank %d: inv[perm[%d]=%d] = %d, want %d", i, r, p, u.inv[p], r)
+			for r := pg << rowPageBits; r < min((pg+1)<<rowPageBits, rows); r++ {
+				p, q := u.perm.at(r), u.inv.at(r)
+				if uint(p) >= uint(rows) || uint(q) >= uint(rows) {
+					return invariant.Violatedf("srs/permutation",
+						"bank %d: perm[%d] = %d, inv[%d] = %d, out of range", i, r, p, r, q)
+				}
+				if back, fwd := u.inv.at(p), u.perm.at(q); back != r || fwd != r {
+					return invariant.Violatedf("srs/permutation",
+						"bank %d: inv[perm[%d]=%d] = %d, perm[inv[%d]=%d] = %d, want %d",
+						i, r, p, back, r, q, fwd, r)
+				}
 			}
 		}
 	}

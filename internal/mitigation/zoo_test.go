@@ -1,6 +1,7 @@
 package mitigation
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/dram"
@@ -123,24 +124,117 @@ func TestSRSHeadroomGrant(t *testing.T) {
 }
 
 func TestSRSParanoidCatalog(t *testing.T) {
-	sys := dram.MustNew(testConfig())
-	s := NewSRS(sys, srsTestParams())
-	eng := invariant.NewEngine()
-	s.EnableParanoid(eng)
+	cases := []struct {
+		name string
+		hurt func(t *testing.T, u *srsUnit)
+	}{
+		// Row 100's slot swapped during warm-up, so its page exists.
+		{"materialized-page", func(_ *testing.T, u *srsUnit) { u.inv.set(100, 7) }},
+		// A page the warm-up's few swaps left as the implicit identity in
+		// both maps: the corruption materializes it in one map only, and
+		// the check must visit it from that side.
+		{"fresh-perm-page", func(t *testing.T, u *srsUnit) { freshPage(t, u, u.perm) }},
+		{"fresh-inv-page", func(t *testing.T, u *srsUnit) { freshPage(t, u, u.inv) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.RowsPerBank = 64 << 10 // more pages than the warm-up swaps touch
+			sys := dram.MustNew(cfg)
+			p := DefaultSRSParams(cfg)
+			p.SwapThreshold = 8
+			s := NewSRS(sys, p)
+			eng := invariant.NewEngine()
+			s.EnableParanoid(eng)
+			id := dram.BankID{}
+			for i := 0; i < 64; i++ {
+				s.OnActivate(id, 100+i%3, s.Remap(id, 100+i%3), int64(i*72))
+			}
+			if err := eng.RunAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Err(); err != nil {
+				t.Fatal(err)
+			}
+			// Corrupt the permutation: the catalog must latch a violation.
+			tc.hurt(t, &s.units[0])
+			err := eng.RunAll()
+			if v := invariant.AsViolation(err); v == nil || v.Invariant != "srs/permutation" {
+				t.Fatalf("corrupted permutation: got %v, want srs/permutation", err)
+			}
+		})
+	}
+}
+
+// freshPage maps a row of the first page neither of u's maps has
+// materialized to row 9 in m.
+func freshPage(t *testing.T, u *srsUnit, m rowMap) {
+	t.Helper()
+	for pg := range u.perm {
+		if u.perm[pg] == nil && u.inv[pg] == nil {
+			m.set(pg<<rowPageBits+5, 9)
+			return
+		}
+	}
+	t.Fatal("warm-up touched every page")
+}
+
+// TestSRSLazyPermutationMatchesDense drives random activation streams
+// through SRS and mirrors every swap in a dense reference permutation.
+// The paged perm/inv maps must agree with the reference and with each
+// other on every row, Occupant must answer from inv, and the DRAM data
+// tags (which start in their logical row's slot) must sit where the
+// reference says, which checks the reference independently of SRS.
+func TestSRSLazyPermutationMatchesDense(t *testing.T) {
+	cfg := testConfig()
+	rows := cfg.RowsPerBank
 	id := dram.BankID{}
-	for i := 0; i < 64; i++ {
-		s.OnActivate(id, 100+i%3, s.Remap(id, 100+i%3), int64(i*72))
-	}
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the permutation: the catalog must latch a violation.
-	s.units[0].inv[100] = 7
-	if err := eng.RunAll(); err == nil {
-		t.Fatal("corrupted permutation not detected")
+	for seed := uint64(1); seed <= 6; seed++ {
+		sys := dram.MustNew(cfg)
+		p := DefaultSRSParams(cfg)
+		p.SwapThreshold, p.Seed = 4, seed
+		s := NewSRS(sys, p)
+		ref, refInv, tags := make([]int, rows), make([]int, rows), make([]uint64, rows)
+		for r := range ref {
+			ref[r], refInv[r], tags[r] = r, r, sys.RowContent(id, r)
+		}
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for i := 0; i < 4000; i++ {
+			row := rng.Intn(64) * 61 % rows // a hot set spread over every page
+			phys := s.Remap(id, row)
+			if phys != ref[row] {
+				t.Fatalf("seed %d step %d: Remap(%d) = %d, reference %d", seed, i, row, phys, ref[row])
+			}
+			swaps := s.Stats().Swaps
+			s.OnActivate(id, row, phys, int64(i*72))
+			if s.Stats().Swaps == swaps {
+				continue
+			}
+			// The slot's occupant moved to a random slot, whose occupant
+			// moved into the slot.
+			destPhys := s.Remap(id, row)
+			dest := refInv[destPhys]
+			ref[row], ref[dest] = destPhys, phys
+			refInv[phys], refInv[destPhys] = dest, row
+		}
+		if s.Stats().Swaps < 100 {
+			t.Fatalf("seed %d: only %d swaps", seed, s.Stats().Swaps)
+		}
+		for r := 0; r < rows; r++ {
+			if got := s.Remap(id, r); got != ref[r] {
+				t.Fatalf("seed %d: Remap(%d) = %d, reference %d", seed, r, got, ref[r])
+			}
+			if got := s.Occupant(id, r); got != refInv[r] {
+				t.Fatalf("seed %d: Occupant(%d) = %d, reference %d", seed, r, got, refInv[r])
+			}
+			if got := sys.RowContent(id, ref[r]); got != tags[r] {
+				t.Fatalf("seed %d: row %d's data %#x is not in its slot %d (holds %#x)",
+					seed, r, tags[r], ref[r], got)
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }
 

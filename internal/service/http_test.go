@@ -30,7 +30,24 @@ func instantRun(_ context.Context, spec Spec, progress func(int64, int64)) (sim.
 }
 
 func TestHandlerTable(t *testing.T) {
-	srv, _ := newTestServer(t, Options{Workers: 1}, instantRun)
+	// Every run blocks until the test ends, and a first job holds the
+	// only worker, so the "submit ok" job is still queued when its 201
+	// body is written.
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	srv, m := newTestServer(t, Options{Workers: 1},
+		func(_ context.Context, _ Spec, _ func(int64, int64)) (sim.Result, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-release
+			return sim.Result{}, nil
+		})
+	t.Cleanup(func() { close(release) })
+	if _, err := m.Submit(uniqueSpec(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-started
 
 	cases := []struct {
 		name       string
