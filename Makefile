@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-parallel paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check profile shootout-smoke sweep-smoke clean
+.PHONY: all build test test-short bench bench-figures bench-quick bench-guard paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check profile shootout-smoke sweep-smoke clean
 
 all: build lint test
 
@@ -72,11 +72,14 @@ loadgen-smoke:
 	$(GO) run ./cmd/rrs-loadgen -local 3 -levels 1,2,4 -jobs-per-client 4 \
 		-cache-fraction 0.25 -out BENCH_PR8.fleet.json
 
-# fuzz hammers the spec decode/normalize/hash pipeline briefly, then
-# cross-checks the table-driven PRINCE against its reference core under
-# fuzzed keys.
+# fuzz hammers the spec and sweep decode/normalize/hash pipelines
+# briefly, then cross-checks the table-driven PRINCE against its
+# reference core under fuzzed keys. A sweep input can expand to 4096
+# children (~0.15 s per run), so minimizing one with the default 60 s
+# budget would eat the whole sweep fuzz window; it is capped at 50 runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSpecDecode -fuzztime 30s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzSweepSpecDecode -fuzztime 20s -fuzzminimizetime 50x ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCipherMatchesReference -fuzztime 10s ./internal/prince/
 
 # serve starts the simulation job service on :8080.
@@ -104,14 +107,6 @@ bench-quick:
 bench-guard:
 	$(GO) run ./cmd/rrs-bench -quick -reps 7 -pins cmd/rrs-bench/pins.json \
 		-baseline BENCH_PR7.json -min-speedup 0.98 -out bench-quick.json
-
-# bench-parallel drift-checks the bank-sharded parallel mode (pins under
-# name+"+par") and reports its throughput; the stats are identical for
-# every positive -workers count, so any drift here is a real behavioral
-# change in the shard decomposition or the merge.
-bench-parallel:
-	$(GO) run ./cmd/rrs-bench -quick -workers 8 -pins cmd/rrs-bench/pins.json \
-		-out bench-parallel.json
 
 # alloc-check runs the per-access allocation pins: the hot path — and
 # every hook layered onto it (paranoid checks, event recording) — must

@@ -124,7 +124,6 @@ func main() {
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
 	pins := flag.String("pins", "", "pins file to check deterministic stats against")
 	writePins := flag.Bool("write-pins", false, "rewrite the pins file from this run instead of checking")
-	workers := flag.Int("workers", 0, "run the pinned sims in the bank-sharded parallel mode with this many goroutines (0 = sequential); parallel stats pin under name+\"+par\" and are identical for every positive count")
 	baseline := flag.String("baseline", "", "prior rrs-bench report to compute speedup against")
 	minSpeedup := flag.Float64("min-speedup", 0, "fail if the geomean speedup vs -baseline is below this (e.g. 0.98 tolerates a 2% regression)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
@@ -148,20 +147,6 @@ func main() {
 	if *quick {
 		sims = pinnedSims[:quickSims]
 		mode = "quick"
-	}
-	if *workers > 0 {
-		// The parallel mode computes different (own-golden) statistics, so
-		// its cases pin under distinct names; throughput comparisons
-		// between worker counts match because the names don't embed the
-		// count (any positive count is bit-identical).
-		par := make([]simCase, len(sims))
-		for i, c := range sims {
-			c.Name += "+par"
-			c.Spec.Workers = *workers
-			par[i] = c
-		}
-		sims = par
-		mode += "+par"
 	}
 
 	rep := report{Tool: "rrs-bench", GoVersion: runtime.Version(), Mode: mode}

@@ -124,7 +124,6 @@ func run() error {
 		jobRetries   = flag.Int("job-retries", 2, "automatic retries for transiently failed runs (-1 disables)")
 		journalPath  = flag.String("journal", "", "durable job journal path (JSONL WAL; empty disables durability)")
 		paranoid     = flag.Bool("paranoid", false, "force every job to run with the self-verification layer (stats unchanged; results gain an invariant summary)")
-		simWorkers   = flag.Int("sim-workers", 0, "default per-simulation goroutine count for specs that leave workers unset (0 = sequential engine; positive enables the bank-sharded parallel mode)")
 
 		fleetRoster   = flag.String("fleet", "", "fleet seed roster as 'id=url,id=url,...' (empty = single-node mode unless -join)")
 		nodeID        = flag.String("node", "", "this node's id within the fleet (required with -fleet or -join)")
@@ -158,7 +157,6 @@ func run() error {
 		JobRetries:         *jobRetries,
 		Journal:            journal,
 		ForceParanoid:      *paranoid,
-		DefaultSimWorkers:  *simWorkers,
 		AdmissionWatermark: *watermark,
 	}
 

@@ -40,7 +40,6 @@ func main() {
 		blacklist = flag.Uint("blacklist", 512, "BlockHammer blacklist threshold (at full scale)")
 		paranoid  = flag.Bool("paranoid", false, "run with the self-verification layer: invariant sweeps and shadow-model oracles (stats are bit-identical)")
 		maxSteps  = flag.Int64("max-steps", 0, "abort after this many memory accesses (0 = unlimited)")
-		workers   = flag.Int("workers", 0, "bank-sharded parallel mode with this many goroutines (0 = sequential reference path; any positive count computes identical stats)")
 		list      = flag.Bool("list", false, "list catalog workloads and exit")
 
 		eventsOut    = flag.String("events", "", "record the run's event timeline and write it as JSON Lines to this file")
@@ -70,7 +69,6 @@ func main() {
 		Seed:       *seed,
 		Paranoid:   *paranoid,
 		MaxSteps:   *maxSteps,
-		Workers:    *workers,
 	}
 	opts, err := spec.Options()
 	if err != nil {
@@ -147,11 +145,6 @@ func main() {
 		}
 		fmt.Printf("\n%s: enqueued %d, serviced %d, dropped %d, replaced %d, refresh ACTs %d\n",
 			name, st.Enqueued, st.Serviced, st.Dropped, st.Replaced, st.Refreshes)
-	}
-	if res.Mitigation == nil && *workers > 0 && res.SwapsPerEpoch > 0 {
-		// Parallel mode merges per-shard mitigation state into the
-		// numeric fields and exposes no live instance.
-		fmt.Printf("\nRRS (parallel mode): swaps/epoch %.1f\n", res.SwapsPerEpoch)
 	}
 	if inv := res.Invariants; inv != nil {
 		fmt.Printf("\nself-verification: %d invariant checks across %d catalog entries, %d violation(s)\n",

@@ -217,6 +217,41 @@ func TestFleetSubmitAnywhereRunsOnOwner(t *testing.T) {
 	}
 }
 
+// TestFleetNonOwnerRejectsUnknownSpecField: a body carrying a field
+// Spec does not have ("workers" here) fails the strict decode on the
+// node that received it. The non-owner answers 400 itself instead of
+// forwarding a spec it cannot decode, and nothing runs anywhere.
+func TestFleetNonOwnerRejectsUnknownSpecField(t *testing.T) {
+	nodes := startFleet(t, 3, nil)
+	spec := uniqueSpec(42)
+	nonOwner := (ownerIndex(t, nodes, spec) + 1) % len(nodes)
+
+	body := `{"workloads":["bzip2"],"mitigation":"rrs","scale":16,"epochs":1,"seed":42,"workers":2}`
+	resp, err := http.Post(nodes[nonOwner].srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, `unknown field "workers"`) {
+		t.Fatalf("status %d, error %q; want 400 naming the workers field", resp.StatusCode, eb.Error)
+	}
+	if got := counter(nodes[nonOwner], "rrs_fleet_forwards_total"); got != 0 {
+		t.Fatalf("non-owner forwarded %d submissions, want 0", got)
+	}
+	for i, n := range nodes {
+		if got := n.runs.Load(); got != 0 {
+			t.Fatalf("node %d ran %d times, want 0", i, got)
+		}
+	}
+}
+
 func TestFleetFailoverWhenOwnerDies(t *testing.T) {
 	nodes := startFleet(t, 3, nil)
 	spec := uniqueSpec(7)

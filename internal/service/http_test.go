@@ -65,6 +65,12 @@ func TestHandlerTable(t *testing.T) {
 			http.StatusBadRequest, "decoding spec"},
 		{"submit unknown field", http.MethodPost, "/v1/jobs", `{"wrklds":["bzip2"]}`,
 			http.StatusBadRequest, "unknown field"},
+		{"submit workers field", http.MethodPost, "/v1/jobs",
+			`{"workloads":["bzip2"],"workers":2}`,
+			http.StatusBadRequest, `unknown field \"workers\"`},
+		{"sweep base workers field", http.MethodPost, "/v1/sweeps",
+			`{"base":{"workloads":["bzip2"],"workers":2},"axes":{"seeds":[1,2]}}`,
+			http.StatusBadRequest, `unknown field \"workers\"`},
 		{"submit unknown workload", http.MethodPost, "/v1/jobs", `{"workloads":["doom"]}`,
 			http.StatusBadRequest, "unknown workload"},
 		{"submit unknown mitigation", http.MethodPost, "/v1/jobs",

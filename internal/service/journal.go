@@ -439,9 +439,10 @@ func compactJournal(path string, rep *Replayed) error {
 // back as inspectable records, done results warm the cache, and pending
 // jobs are re-enqueued under their original ids. Call it once, before
 // exposing the manager over HTTP, on a manager built with the matching
-// Options.Journal. Jobs whose spec no longer validates (a journal from
-// an older build, hand edits) are marked failed rather than replayed
-// forever.
+// Options.Journal. Pending jobs whose spec no longer validates or no
+// longer hashes to the recorded hash (a journal from an older build,
+// hand edits) are marked failed rather than replayed forever or under
+// the wrong address.
 func (m *Manager) Restore(rep *Replayed) error {
 	if rep == nil {
 		return nil
@@ -509,7 +510,14 @@ func (m *Manager) Restore(rep *Replayed) error {
 		}
 
 		// Pending: validate against the current build, then re-enqueue.
-		if err := j.spec.Validate(); err != nil {
+		// A spec that decodes to a different hash than the one recorded
+		// carried a field this build no longer has (decoding drops it);
+		// running it would store another job's result under that hash.
+		err := j.spec.Validate()
+		if err == nil && j.spec.Hash() != j.hash {
+			err = fmt.Errorf("spec no longer hashes to its recorded hash %s", j.hash)
+		}
+		if err != nil {
 			m.finish(j, StateFailed, fmt.Sprintf("journal replay: %v", err))
 			m.met.Inc("rrs_jobs_failed_total", 1)
 			continue

@@ -3,8 +3,10 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -431,6 +433,105 @@ func TestJournalInvalidReplayedSpecFailsJob(t *testing.T) {
 	if v.State != StateFailed || !strings.Contains(v.Error, "unknown workload") {
 		t.Fatalf("stale spec replayed to %s (%s); want failed with a validation error",
 			v.State, v.Error)
+	}
+}
+
+// TestJournalReplayOfRemovedWorkersField replays lines written by a
+// build whose Spec still had a "workers" field (the bank-sharded engine
+// selector), with the hashes that build recorded. Decoding drops the
+// field, so those specs now hash differently: pending records must fail
+// instead of re-running sequentially under the old hash, while the
+// terminal record and the sequential job and sweep restore normally.
+func TestJournalReplayOfRemovedWorkersField(t *testing.T) {
+	const (
+		parDoneHash    = "2b7e5c71483ee9abfa8ff0011a0d2ac07c1b54c01954c29eb12969cf83624995"
+		parPendingHash = "236b1944328ba560e687daad1c6e5f1bc0647e0a4cd51eaa1de8cf01563c59c4"
+		parSweepHash   = "35dd8cb09c68e3e848a065ce8e825392d7bc6a28fb970c806ae88e6801019b7d"
+		seqJobHash     = "2e2bf1ad2796e6920043eedc7e1fb3435131200d964473d06944370f3206342e"
+		seqSweepHash   = "53a7b6d3fa9046ac0bd7d629ada20887161490fac0886b80eb2053c14941bcfc"
+	)
+	spec := func(seed int, extra string) string {
+		return fmt.Sprintf(`{"workloads":["bzip2"],"mitigation":"rrs","scale":16,"epochs":1,"seed":%d%s}`, seed, extra)
+	}
+	at := `"submitted_at":"2026-01-02T03:04:05Z"`
+	lines := []string{
+		`{"type":"accepted","id":"job-000001","seq":1,"hash":"` + parDoneHash + `","spec":` + spec(1, `,"workers":2`) + `,` + at + `}`,
+		`{"type":"terminal","id":"job-000001","hash":"` + parDoneHash + `","state":"done","result":{"IPC":7},"finished_at":"2026-01-02T03:04:06Z"}`,
+		`{"type":"accepted","id":"job-000002","seq":2,"hash":"` + parPendingHash + `","spec":` + spec(2, `,"workers":2`) + `,` + at + `}`,
+		`{"type":"accepted","id":"job-000003","seq":3,"hash":"` + seqJobHash + `","spec":` + spec(5, "") + `,` + at + `}`,
+		`{"type":"sweep_accepted","id":"sweep-000001","seq":1,"hash":"` + parSweepHash + `","sweep_spec":{"base":` + spec(3, `,"workers":2`) + `,"axes":{"seeds":[3,4]}},` + at + `}`,
+		`{"type":"sweep_accepted","id":"sweep-000002","seq":2,"hash":"` + seqSweepHash + `","sweep_spec":{"base":` + spec(6, "") + `,"axes":{"seeds":[6,7]}},` + at + `}`,
+	}
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, rep, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if rep.Pending != 2 || rep.PendingSweeps != 2 || rep.Results != 1 {
+		t.Fatalf("replay = %d pending jobs, %d pending sweeps, %d results; want 2/2/1",
+			rep.Pending, rep.PendingSweeps, rep.Results)
+	}
+
+	var mu sync.Mutex
+	var ran []uint64
+	m := stubManager(t, Options{Workers: 1, Journal: j},
+		func(_ context.Context, s Spec, progress func(int64, int64)) (sim.Result, error) {
+			mu.Lock()
+			ran = append(ran, s.Seed)
+			mu.Unlock()
+			return instantRun(context.Background(), s, progress)
+		})
+	if err := m.Restore(rep); err != nil {
+		t.Fatal(err)
+	}
+
+	job := func(id string) JobView {
+		t.Helper()
+		jb, ok := m.Get(id)
+		if !ok {
+			t.Fatalf("job %s not restored", id)
+		}
+		return waitDone(t, jb)
+	}
+	if v := job("job-000001"); v.State != StateDone {
+		t.Errorf("terminal workers job restored as %s, want done", v.State)
+	}
+	if res, ok := m.ResultByHash(parDoneHash); !ok || res.IPC != 7 {
+		t.Errorf("terminal result by its recorded hash = %+v, %v; want IPC 7", res, ok)
+	}
+	if v := job("job-000002"); v.State != StateFailed ||
+		!strings.Contains(v.Error, "journal replay: spec no longer hashes") {
+		t.Errorf("pending workers job replayed to %s (%q); want failed by journal replay", v.State, v.Error)
+	}
+	if v := job("job-000003"); v.State != StateDone {
+		t.Errorf("sequential job replayed to %s (%q), want done", v.State, v.Error)
+	}
+
+	sweep := func(id string) SweepView {
+		t.Helper()
+		sw, ok := m.GetSweep(id)
+		if !ok {
+			t.Fatalf("sweep %s not restored", id)
+		}
+		return waitSweep(t, m, sw)
+	}
+	if v := sweep("sweep-000001"); v.State != StateFailed ||
+		!strings.Contains(v.Error, "journal replay: sweep spec no longer hashes") {
+		t.Errorf("pending workers sweep replayed to %s (%q); want failed by journal replay", v.State, v.Error)
+	}
+	if v := sweep("sweep-000002"); v.State != StateDone || v.Done != 2 {
+		t.Errorf("sequential sweep replayed to %s with %d/2 children done (%q)", v.State, v.Done, v.Error)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	slices.Sort(ran)
+	if want := []uint64{5, 6, 7}; !slices.Equal(ran, want) {
+		t.Errorf("runs after replay had seeds %v, want %v (only the sequential records)", ran, want)
 	}
 }
 

@@ -192,15 +192,6 @@ type Options struct {
 	// caches under the paranoid spec, and submissions that already asked
 	// for paranoid coalesce with it.
 	ForceParanoid bool
-	// DefaultSimWorkers, when positive, sets Spec.Workers for every
-	// submitted job that left it 0 — an operator switch that runs the
-	// whole server in the bank-sharded parallel mode (see
-	// sim.Options.Workers). Like ForceParanoid it applies before
-	// hashing: parallel results cache under the parallel mode's hash,
-	// never shadowing sequential ones. Distinct from Options.Workers,
-	// the job pool size: one sets goroutines per simulation, the other
-	// simulations in flight.
-	DefaultSimWorkers int
 	// NodeID, when non-empty, prefixes job ids ("node1.job-000001"
 	// instead of "job-000001") so ids are globally unique across a fleet
 	// and carry their home node — internal/fleet routes status and
@@ -523,9 +514,6 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 	}
 	if m.opts.ForceParanoid {
 		spec.Paranoid = true
-	}
-	if m.opts.DefaultSimWorkers > 0 && spec.Workers == 0 {
-		spec.Workers = m.opts.DefaultSimWorkers
 	}
 	norm := spec.Normalize()
 	hash := norm.Hash()

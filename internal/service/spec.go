@@ -102,15 +102,6 @@ type Spec struct {
 	// memory accesses (0 = unlimited). A tripped budget changes the
 	// outcome, so MaxSteps participates in the content hash.
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// Workers selects sim's execution mode: 0 is the sequential
-	// reference path, any positive value the bank-sharded parallel mode
-	// (see sim.Options.Workers). The two modes compute different
-	// statistics by design, so the mode participates in the content hash
-	// — but clamped to 0 or 1, because every positive worker count is
-	// bit-identical: {workers: 2} and {workers: 8} are the same job and
-	// share a cache entry (omitempty keeps pre-existing sequential spec
-	// hashes unchanged).
-	Workers int `json:"workers,omitempty"`
 }
 
 // Normalize returns a copy with every defaulted field made explicit, so
@@ -131,9 +122,6 @@ func (s Spec) Normalize() Spec {
 	}
 	if out.Epochs < 0 {
 		out.Epochs = 0
-	}
-	if out.Workers < 0 {
-		out.Workers = 0
 	}
 	if out.InstructionsPerCore <= 0 {
 		if out.Epochs > 0 {
@@ -182,12 +170,6 @@ func (s Spec) Validate() error {
 func (s Spec) Hash() string {
 	n := s.Normalize()
 	n.TimeoutSeconds = 0
-	// Only the execution mode is content: any positive worker count
-	// yields bit-identical results, so all parallel submissions share
-	// one cache entry.
-	if n.Workers > 1 {
-		n.Workers = 1
-	}
 	b, err := json.Marshal(n)
 	if err != nil {
 		// Spec is a closed struct of scalars and strings; Marshal cannot
@@ -241,7 +223,6 @@ func (s Spec) Options() (sim.Options, error) {
 		HotShare:            n.HotShare,
 		Paranoid:            n.Paranoid,
 		MaxSteps:            n.MaxSteps,
-		Workers:             n.Workers,
 	}
 	if n.Epochs > 0 {
 		opts.CycleLimit = int64(n.Epochs) * cfg.EpochCycles

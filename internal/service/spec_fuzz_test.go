@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -118,4 +120,48 @@ func TestSpecHashIgnoresFieldOrderAndSpelledDefaults(t *testing.T) {
 	if other.Hash() == want {
 		t.Error("distinct seeds collided")
 	}
+}
+
+// FuzzSweepSpecDecode drives POST /v1/sweeps' decode path: any byte
+// string either fails ReadSweepSpec's strict decode or yields a
+// SweepSpec whose Validate, Hash and Expand return without panicking,
+// and Expand either refuses the sweep or stays within maxSweepChildren.
+func FuzzSweepSpecDecode(f *testing.F) {
+	// The six-axis product that once wrapped int past the child bound.
+	axis := func(v string) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(v+",", 2048), ",") + "]"
+	}
+	overflow := `{"base":{"workloads":["bzip2"]},"axes":{` +
+		`"mitigations":` + axis(`"none"`) + `,"blacklists":` + axis("1") +
+		`,"row_hammer_thresholds":` + axis("1") + `,"scales":` + axis("1") +
+		`,"seeds":` + axis("1") + `,"workloads":` + axis(`"bzip2"`) + `}}`
+	seeds := []string{
+		overflow,
+		`{"base":{"workloads":["bzip2"],"workers":2},"axes":{"seeds":[1,2]}}`,
+		`{"base":{"workloads":["bzip2"],"scale":16,"epochs":1,"seed":1},` +
+			`"axes":{"mitigations":["none","rrs","blockhammer"],"blacklists":[512,1024]}}`,
+		`{"base":{"workloads":["bzip2","mcf"]},"axes":{"workloads":["hmmer","doom"]}}`,
+		`{"base":{"workloads":["bzip2"]},"axes":{"scales":[0,-1,16],"seeds":[18446744073709551615]}}`,
+		`{"base":{},"axes":{}}`,
+		`{"base":{"workloads":["bzip2"]},"axes":{"seeds":[1]},"extra":1}`,
+		`{"base":`, `null`, `[]`, `{}`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(raw))
+		ss, ok := ReadSweepSpec(httptest.NewRecorder(), req)
+		if !ok {
+			return // rejection is an acceptable outcome; panicking is not
+		}
+		_ = ss.Validate()
+		if h := ss.Hash(); len(h) != 64 {
+			t.Fatalf("hash %q is not hex SHA-256", h)
+		}
+		specs, err := ss.Expand()
+		if err == nil && len(specs) > maxSweepChildren {
+			t.Fatalf("Expand returned %d children, bound is %d", len(specs), maxSweepChildren)
+		}
+	})
 }

@@ -57,9 +57,6 @@ func TestSpecHashCanonical(t *testing.T) {
 	v = base
 	v.MaxSteps = 100000
 	variants["max-steps"] = v
-	v = base
-	v.Workers = 1
-	variants["workers"] = v
 	seen := map[string]string{base.Hash(): "base"}
 	for name, spec := range variants {
 		h := spec.Hash()
@@ -70,27 +67,37 @@ func TestSpecHashCanonical(t *testing.T) {
 	}
 }
 
-func TestSpecHashWorkersMode(t *testing.T) {
-	// The execution mode is content; the concurrency is not. Any two
-	// positive worker counts are bit-identical runs and must share one
-	// cache entry, while sequential and parallel must not.
-	seq := Spec{Workloads: []string{"bzip2"}}
-	par2, par8 := seq, seq
-	par2.Workers = 2
-	par8.Workers = 8
-	if par2.Hash() != par8.Hash() {
-		t.Error("workers=2 and workers=8 hash differently")
-	}
-	if seq.Hash() == par2.Hash() {
-		t.Error("sequential and parallel specs hash identically")
-	}
-
-	opts, err := par8.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Workers != 8 {
-		t.Errorf("Options().Workers = %d, want the requested 8", opts.Workers)
+// TestSpecHashPinned pins the content addresses of fixed specs. The
+// result cache, the journal and the fleet ring all key on these hashes,
+// so a change to Spec's fields or their encoding that moves any of them
+// orphans every stored result; such a change must be deliberate.
+func TestSpecHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		got  string
+		want string
+	}{
+		{"bare bzip2",
+			Spec{Workloads: []string{"bzip2"}}.Hash(),
+			"a3b99894de4cef6bb2a4af97031832c7c511bff06a3a736b83873fffba8a0d85"},
+		{"mcf/rrs scale 16, 1 epoch, seed 0xBE",
+			Spec{Workloads: []string{"mcf"}, Mitigation: MitRRS, Scale: 16, Epochs: 1, Seed: 0xBE}.Hash(),
+			"a2c58d907cb90f4199d413a08eb3528fc40a7c6c54297d98b7dc58df5e0b4a21"},
+		{"paranoid with max_steps",
+			Spec{Workloads: []string{"hmmer"}, Mitigation: MitRRS, Scale: 16, Epochs: 2, Seed: 1,
+				Paranoid: true, MaxSteps: 100000}.Hash(),
+			"fb90da23936c6307d8be60ff3bcef1b6b7516f66b6f7af029a528f89014ba59b"},
+		{"sweep: mitigations x blacklists",
+			SweepSpec{
+				Base: Spec{Workloads: []string{"bzip2"}, Scale: 16, Epochs: 1, Seed: 1},
+				Axes: SweepAxes{Mitigations: []string{MitNone, MitRRS, MitBlockHammer},
+					Blacklists: []uint32{512, 1024}},
+			}.Hash(),
+			"79c6c26241ec4e1d3cd88807b39b2fc691802713dd16cfa098403dc7eedd9209"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: hash %s, want %s", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

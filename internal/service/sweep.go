@@ -80,16 +80,13 @@ type SweepSpec struct {
 }
 
 // Hash is the sweep's content address: a hex SHA-256 of the
-// hash-normalized base (TimeoutSeconds masked, Workers clamped to
-// mode, like Spec.Hash) plus the axes. Retried POSTs of the same sweep
-// coalesce onto the running parent by this hash.
+// hash-normalized base (TimeoutSeconds masked, like Spec.Hash) plus the
+// axes. Retried POSTs of the same sweep coalesce onto the running
+// parent by this hash.
 func (ss SweepSpec) Hash() string {
 	n := ss
 	b := ss.Base.Normalize()
 	b.TimeoutSeconds = 0
-	if b.Workers > 1 {
-		b.Workers = 1
-	}
 	n.Base = b
 	buf, err := json.Marshal(n)
 	if err != nil {
@@ -418,9 +415,6 @@ func (m *Manager) SubmitSweep(ss SweepSpec) (sw *Sweep, created bool, err error)
 	if m.opts.ForceParanoid {
 		ss.Base.Paranoid = true
 	}
-	if m.opts.DefaultSimWorkers > 0 && ss.Base.Workers == 0 {
-		ss.Base.Workers = m.opts.DefaultSimWorkers
-	}
 	specs, err := ss.Expand()
 	if err != nil {
 		return nil, false, err
@@ -702,7 +696,8 @@ func (m *Manager) SweepResults(sw *Sweep) map[string]sim.Result {
 }
 
 // restoreSweep rebuilds one journaled sweep at startup. Terminal sweeps
-// come back as static records; pending ones re-expand and resume —
+// come back as static records; pending ones re-expand and resume (or
+// fail, if their spec no longer hashes to the recorded hash) —
 // children that finished before the crash are answered from the
 // replayed result cache (cache hits), only unfinished ones run, as the
 // jobs Restore re-enqueued (requeued, by hash).
@@ -732,6 +727,13 @@ func (m *Manager) restoreSweep(rs *ReplayedSweep, requeued map[string]*Job) erro
 	if terminal {
 		sw.state = rs.State
 	}
+	// A pending record whose spec decodes to a different hash carried a
+	// field this build no longer has; resuming it would run a different
+	// sweep under the recorded hash, so it fails instead.
+	stale := !terminal && sw.hash != rs.Spec.Hash()
+	if stale {
+		sw.err = fmt.Sprintf("journal replay: sweep spec no longer hashes to its recorded hash %s", sw.hash)
+	}
 
 	m.mu.Lock()
 	if m.closed {
@@ -756,6 +758,10 @@ func (m *Manager) restoreSweep(rs *ReplayedSweep, requeued map[string]*Job) erro
 
 	if terminal {
 		close(sw.done)
+		return nil
+	}
+	if stale {
+		m.finishSweep(sw)
 		return nil
 	}
 	m.sweepWG.Add(1)

@@ -106,33 +106,6 @@ type Options struct {
 	// Events.RingSize keeps the histograms and samples but drops the
 	// per-event stream (the job service's shape).
 	Events *obs.Config
-	// Workers selects the execution mode. 0 (the default) is the
-	// sequential reference path: one goroutine interleaves every core
-	// over the shared memory system, bit-identical to all historical
-	// goldens. A positive value enables the bank-sharded parallel mode:
-	// the system is partitioned into G = min(Cores, total banks)
-	// independent shards — each owning a disjoint set of banks, its
-	// round-robin share of the cores, and its own mitigation state — and
-	// up to Workers shards run concurrently. G is fixed by the
-	// configuration, never by Workers, so any Workers >= 1 produces
-	// bit-identical statistics; Workers only caps goroutine concurrency.
-	// The parallel mode models a bank-partitioned system (no cross-shard
-	// bus contention), so its results differ from the sequential path by
-	// construction and are pinned by their own golden. See DESIGN.md §12.
-	Workers int
-
-	// shard carries the parallel mode's per-shard identity; only
-	// runParallel sets it. Nil means a standalone (full-system) run.
-	shard *shardLayout
-}
-
-// shardLayout tells a shard run which global cores it owns, so per-core
-// trace seeds and hot-row splits match the full-system assignment.
-type shardLayout struct {
-	// globalCores maps each local core index to its full-system index.
-	globalCores []int
-	// totalCores is the full system's core count.
-	totalCores int
 }
 
 // envParanoid reports whether RRS_PARANOID=1 forces paranoid mode on.
@@ -236,43 +209,18 @@ func (g *runGuards) poll(accesses int64) error {
 	return nil
 }
 
-// runSeries is the raw per-epoch data a run produced, alongside the
-// averaged Result fields. The parallel merge needs the series (summing
-// averages across shards with different epoch counts loses information);
-// sequential callers discard it.
-type runSeries struct {
-	// hotRows is the system-wide hot-row count sampled at each completed
-	// epoch boundary.
-	hotRows []int64
-	// swaps is the RRS swap count per completed epoch; nil for other
-	// mitigations.
-	swaps []int64
-	// epochSwaps is the in-progress (uncompleted) epoch's swap count.
-	epochSwaps int64
-}
-
-// Run executes the simulation to completion.
+// Run executes the simulation to completion: one goroutine interleaves
+// every core over the shared memory system.
 func Run(opts Options) (Result, error) {
-	if opts.Workers > 0 {
-		return runParallel(opts)
-	}
-	res, _, err := runSeq(opts)
-	return res, err
-}
-
-// runSeq is the sequential engine: one goroutine, every core interleaved
-// over one shared memory system. Both the reference mode and each
-// parallel shard run through it.
-func runSeq(opts Options) (Result, runSeries, error) {
 	cfg := opts.Config
 	if err := cfg.Validate(); err != nil {
-		return Result{}, runSeries{}, err
+		return Result{}, err
 	}
 	if len(opts.Workloads) == 0 {
-		return Result{}, runSeries{}, fmt.Errorf("sim: no workloads")
+		return Result{}, fmt.Errorf("sim: no workloads")
 	}
 	if opts.Readers != nil && len(opts.Readers) < cfg.Cores {
-		return Result{}, runSeries{}, fmt.Errorf("sim: %d readers for %d cores; Readers must supply one per core",
+		return Result{}, fmt.Errorf("sim: %d readers for %d cores; Readers must supply one per core",
 			len(opts.Readers), cfg.Cores)
 	}
 	if opts.InstructionsPerCore <= 0 {
@@ -285,7 +233,7 @@ func runSeq(opts Options) (Result, runSeries, error) {
 
 	sys, err := dram.New(cfg)
 	if err != nil {
-		return Result{}, runSeries{}, err
+		return Result{}, err
 	}
 	var mit memctrl.Mitigation = memctrl.None{}
 	if opts.Mitigation != nil {
@@ -343,20 +291,13 @@ func runSeq(opts Options) (Result, runSeries, error) {
 		if opts.Readers != nil {
 			rd = opts.Readers[i]
 		} else {
-			// A parallel shard seeds and splits by the full-system core
-			// index, so each global core's trace stream is independent of
-			// how cores landed on shards.
-			gi, nCores := i, cfg.Cores
-			if opts.shard != nil {
-				gi, nCores = opts.shard.globalCores[i], opts.shard.totalCores
-			}
 			w := opts.Workloads[i%len(opts.Workloads)]
-			w.HotRows = splitHotRows(w.HotRows, nCores, gi)
+			w.HotRows = splitHotRows(w.HotRows, cfg.Cores, i)
 			gen := trace.NewGenerator(w, trace.GeneratorParams{
 				LineBytes: cfg.LineBytes,
 				RowBytes:  cfg.RowBytes,
 				HotShare:  opts.HotShare,
-				Seed:      trace.PerCoreSeed(opts.Seed, gi),
+				Seed:      trace.PerCoreSeed(opts.Seed, i),
 			})
 			offset := uint64(i) * (totalLines / uint64(cfg.Cores))
 			rd = &offsetReader{r: gen, offset: offset, mod: totalLines}
@@ -423,12 +364,12 @@ func runSeq(opts Options) (Result, runSeries, error) {
 		if res.Accesses%checkInterval == 0 && res.Accesses > 0 {
 			if opts.Context != nil {
 				if err := opts.Context.Err(); err != nil {
-					return Result{}, runSeries{}, fmt.Errorf("sim: run interrupted: %w", err)
+					return Result{}, fmt.Errorf("sim: run interrupted: %w", err)
 				}
 			}
 			if guards != nil {
 				if err := guards.poll(res.Accesses); err != nil {
-					return Result{}, runSeries{}, err
+					return Result{}, err
 				}
 			}
 			if opts.Progress != nil {
@@ -453,7 +394,7 @@ func runSeq(opts Options) (Result, runSeries, error) {
 		}
 		nextTimes[nextIdx], havePending[nextIdx] = next.NextIssueTime()
 		if maxSteps > 0 && res.Accesses >= maxSteps {
-			return Result{}, runSeries{}, fmt.Errorf("%w after %d accesses", ErrStepBudget, res.Accesses)
+			return Result{}, fmt.Errorf("%w after %d accesses", ErrStepBudget, res.Accesses)
 		}
 	}
 
@@ -481,7 +422,6 @@ func runSeq(opts Options) (Result, runSeries, error) {
 	if res.Instructions > 0 {
 		res.MPKI = float64(res.Accesses) / float64(res.Instructions) * 1000
 	}
-	series := runSeries{hotRows: hotRowSamples}
 	if len(hotRowSamples) > 0 {
 		var sum int64
 		for _, v := range hotRowSamples {
@@ -491,8 +431,6 @@ func runSeq(opts Options) (Result, runSeries, error) {
 	}
 	if r, ok := mit.(*core.RRS); ok {
 		st := r.Stats()
-		series.swaps = st.SwapsPerEpoch
-		series.epochSwaps = st.EpochSwaps
 		if n := len(st.SwapsPerEpoch); n > 0 {
 			var sum int64
 			for _, v := range st.SwapsPerEpoch {
@@ -508,11 +446,11 @@ func runSeq(opts Options) (Result, runSeries, error) {
 	if guards != nil && guards.eng != nil {
 		// Final catalog sweep, then fail the run on any latched violation.
 		if err := guards.eng.RunAll(); err != nil {
-			return Result{}, runSeries{}, err
+			return Result{}, err
 		}
 		if guards.mit != nil {
 			if err := guards.mit.Err(); err != nil {
-				return Result{}, runSeries{}, err
+				return Result{}, err
 			}
 		}
 		s := guards.eng.Summary()
@@ -522,7 +460,7 @@ func runSeq(opts Options) (Result, runSeries, error) {
 		res.Timeline = rec.Timeline()
 	}
 	report(progressTotal)
-	return res, series, nil
+	return res, nil
 }
 
 // splitHotRows divides a system-wide hot-row target across cores: core i
