@@ -6,8 +6,8 @@ import (
 	"unsafe"
 )
 
-// TestLookupAllocFree pins the hot-path contract: Lookup (hit and miss,
-// through the set-index memo) performs no allocations.
+// TestLookupAllocFree pins the hot-path contract: Lookup (hit and miss)
+// performs no allocations.
 func TestLookupAllocFree(t *testing.T) {
 	tab := New[int64](Spec{Sets: 64, Ways: 20}, 5)
 	for i := uint64(0); i < 1700; i++ {
@@ -37,22 +37,22 @@ func allocBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestNewAllocBytes pins the lazy set-index memo at the paper's RIT
-// geometry: New allocates the slot arrays and little else, and the
-// 128 KiB memo appears only at the first lookup that must hash.
+// TestNewAllocBytes pins New at the tracker's and the RIT's paper
+// geometries to its slots, the per-set masks and counters, and a fixed
+// header (the table and its two keyed hashes): no memo or other per-key
+// structure is built up front.
 func TestNewAllocBytes(t *testing.T) {
-	spec := Spec{Sets: 256, Ways: 20}
-	var tab *Table[int64]
-	n := allocBytes(func() { tab = New[int64](spec, 3) })
-	slots := uint64(spec.Slots()) * uint64(unsafe.Sizeof(slot[int64]{}))
-	if n-slots >= 16<<10 {
-		t.Fatalf("New allocated %d bytes beyond its %d bytes of slots, want < 16 KiB", n-slots, slots)
-	}
-	if tab.Lookup(12345) != nil || tab.idxCache != nil {
-		t.Fatal("a miss answered by the presence bitset allocated the memo")
-	}
-	tab.Install(12345, 1)
-	if tab.idxCache == nil {
-		t.Fatal("install did not populate the memo")
+	for _, spec := range []Spec{{Sets: 64, Ways: 20}, {Sets: 256, Ways: 20}} {
+		var tab *Table[int64]
+		n := allocBytes(func() { tab = New[int64](spec, 3) })
+		slots := uint64(spec.Slots()) * uint64(unsafe.Sizeof(slot[int64]{}))
+		sets := uint64(2*spec.Sets) * uint64(unsafe.Sizeof(setState{}))
+		if n < slots+sets || n-slots-sets >= 1<<10 {
+			t.Fatalf("%+v: New allocated %d bytes, want %d of slots + %d of masks and counters + < 1 KiB",
+				spec, n, slots, sets)
+		}
+		if tab.Lookup(12345) != nil {
+			t.Fatal("fresh table holds a key")
+		}
 	}
 }

@@ -16,6 +16,7 @@ package cat
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/prince"
 )
@@ -26,65 +27,52 @@ import (
 type Spec struct {
 	// Sets is the number of sets per table (the structure has 2 tables).
 	Sets int
-	// Ways is the total ways per set (demand + extra).
+	// Ways is the total ways per set (demand + extra), at most maxWays.
 	Ways int
 }
+
+// maxWays bounds Ways so one uint64 occupancy mask covers a set.
+const maxWays = 64
 
 // Slots returns the total number of storage slots.
 func (s Spec) Slots() int { return 2 * s.Sets * s.Ways }
 
 // Validate reports an invalid geometry.
 func (s Spec) Validate() error {
-	if s.Sets <= 0 || s.Ways <= 0 {
-		return fmt.Errorf("cat: invalid geometry %d sets x %d ways", s.Sets, s.Ways)
+	if s.Sets <= 0 || s.Ways <= 0 || s.Ways > maxWays {
+		return fmt.Errorf("cat: invalid geometry %d sets x %d ways (ways must be 1..%d)", s.Sets, s.Ways, maxWays)
 	}
 	return nil
 }
 
 type slot[V any] struct {
-	key   uint64
-	val   V
-	valid bool
+	key uint64
+	val V
 }
 
-// idxCacheBits sizes the per-table set-index memo (2^bits entries,
-// 16 bytes each, 128 KiB). Keys are in-bank row ids, so the memo is
-// indexed by the key's low bits: for banks with up to 2^idxCacheBits
-// rows every key gets its own slot and the memo is collision-free;
-// larger banks alias 2^(bits) apart, which row locality makes rare.
-const idxCacheBits = 13
+// setState is one set's occupancy: bit w of mask is set iff way w holds
+// an entry, and invalid counts the free ways. The counter duplicates the
+// mask's population count; it stays as redundant state that the
+// cat/occupancy check compares against the mask.
+type setState struct {
+	mask    uint64
+	invalid int
+}
 
 // maxBitsetKeys bounds the presence bitset at 512 KiB so adversarial
 // 64-bit keys (fuzzers, tests) cannot balloon it.
 const maxBitsetKeys = 1 << 22
-
-// setPair memoizes the two candidate set indices of one key. s0p1 holds
-// s0+1, so the zero value marks an empty entry and a fresh memo needs no
-// initialization pass.
-type setPair struct {
-	key      uint64
-	s0p1, s1 int32
-}
 
 // Table is a CAT holding values of type V keyed by 64-bit keys (row ids).
 // The zero value is not usable; construct with New.
 //
 // Table is not safe for concurrent use.
 type Table[V any] struct {
-	spec    Spec
-	slots   [2][]slot[V] // per table, sets*ways slots, set-major
-	invalid [2][]int     // per table, per set: count of invalid ways
-	hash    [2]*prince.Hash64
-	size    int
-	// idxCache is a direct-mapped memo of setIndex results. Set indices
-	// are a pure function of the key and the boot-time hash keys, so the
-	// memo never needs invalidation (Clear keeps the hash keys) and is
-	// exactness-preserving; it exists because the two PRINCE evaluations
-	// dominate the lookup cost and row accesses are heavily repetitive.
-	// It is nil until the first memo miss, so tables that only ever
-	// answer from the presence bitset (a swap-free run's RIT) never
-	// allocate it.
-	idxCache []setPair
+	spec  Spec
+	slots [2][]slot[V]  // per table, sets*ways slots, set-major
+	sets  [2][]setState // per table, per set: occupancy mask and counter
+	hash  [2]*prince.Hash64
+	size  int
 	// present is an exact membership bitset over small keys: bit k is set
 	// iff key k is stored. Both owners look up far more absent keys than
 	// present ones (a few thousand RIT tuples or tracked rows against a
@@ -110,9 +98,9 @@ func New[V any](spec Spec, seed uint64) *Table[V] {
 	t := &Table[V]{spec: spec}
 	for i := 0; i < 2; i++ {
 		t.slots[i] = make([]slot[V], spec.Sets*spec.Ways)
-		t.invalid[i] = make([]int, spec.Sets)
-		for s := range t.invalid[i] {
-			t.invalid[i][s] = spec.Ways
+		t.sets[i] = make([]setState, spec.Sets)
+		for s := range t.sets[i] {
+			t.sets[i][s].invalid = spec.Ways
 		}
 	}
 	// Two independent keys derived from the seed.
@@ -139,19 +127,12 @@ func (t *Table[V]) setIndex(ti int, key uint64) int {
 	return int(t.hash[ti].Sum(key) % uint64(t.spec.Sets))
 }
 
-// setsOf returns both candidate set indices through the memo cache.
+// setsOf returns both candidate set indices, from one interleaved pass
+// over the two keyed hashes.
 func (t *Table[V]) setsOf(key uint64) (int, int) {
-	if t.idxCache == nil {
-		t.idxCache = make([]setPair, 1<<idxCacheBits)
-	}
-	e := &t.idxCache[key&(1<<idxCacheBits-1)]
-	if e.s0p1 != 0 && e.key == key {
-		return int(e.s0p1 - 1), int(e.s1)
-	}
-	s0 := t.setIndex(0, key)
-	s1 := t.setIndex(1, key)
-	*e = setPair{key: key, s0p1: int32(s0) + 1, s1: int32(s1)}
-	return s0, s1
+	h0, h1 := prince.Sum2(t.hash[0], t.hash[1], key)
+	n := uint64(t.spec.Sets)
+	return int(h0 % n), int(h1 % n)
 }
 
 // mightContain is the bit-probe fast path: false means key is certainly
@@ -197,6 +178,18 @@ func (t *Table[V]) setSlots(ti, s int) []slot[V] {
 	return t.slots[ti][s*w : (s+1)*w]
 }
 
+// find returns the way of set s in table ti holding key, or -1. It reads
+// only the ways the occupancy mask marks as taken.
+func (t *Table[V]) find(ti, s int, key uint64) int {
+	ss := t.setSlots(ti, s)
+	for m := t.sets[ti][s].mask; m != 0; m &= m - 1 {
+		if w := bits.TrailingZeros64(m); ss[w].key == key {
+			return w
+		}
+	}
+	return -1
+}
+
 // Lookup returns a pointer to the value stored for key, or nil if absent.
 // The pointer stays valid until the entry is deleted or relocated; callers
 // must not retain it across Install or Delete calls.
@@ -214,17 +207,11 @@ func (t *Table[V]) LookupPos(key uint64) (ti, s int, val *V) {
 		return 0, 0, nil
 	}
 	s0, s1 := t.setsOf(key)
-	ss := t.setSlots(0, s0)
-	for i := range ss {
-		if ss[i].valid && ss[i].key == key {
-			return 0, s0, &ss[i].val
-		}
+	if w := t.find(0, s0, key); w >= 0 {
+		return 0, s0, &t.setSlots(0, s0)[w].val
 	}
-	ss = t.setSlots(1, s1)
-	for i := range ss {
-		if ss[i].valid && ss[i].key == key {
-			return 1, s1, &ss[i].val
-		}
+	if w := t.find(1, s1, key); w >= 0 {
+		return 1, s1, &t.setSlots(1, s1)[w].val
 	}
 	return 0, 0, nil
 }
@@ -250,35 +237,44 @@ func (t *Table[V]) InstallPos(key uint64, val V) (ti, s int, vp *V) {
 		panic(fmt.Sprintf("cat: duplicate install of key %#x", key))
 	}
 	s0, s1 := t.setsOf(key)
-	inv0, inv1 := t.invalid[0][s0], t.invalid[1][s1]
-	// Power-of-two-choices: prefer the set with more invalid ways.
-	ti, s = 0, s0
-	if inv1 > inv0 {
-		ti, s = 1, s1
-	}
-	if t.invalid[ti][s] == 0 {
+	ti, s = t.roomier(s0, s1)
+	if t.sets[ti][s].invalid == 0 {
 		t.conflicts++
 		if !t.relocate(s0, s1) {
 			return 0, 0, nil
 		}
 		t.relocations++
 		// After relocation at least one candidate set has a free way.
-		ti, s = 0, s0
-		if t.invalid[1][s1] > t.invalid[0][s0] {
-			ti, s = 1, s1
-		}
+		ti, s = t.roomier(s0, s1)
 	}
-	ss := t.setSlots(ti, s)
-	for i := range ss {
-		if !ss[i].valid {
-			ss[i] = slot[V]{key: key, val: val, valid: true}
-			t.invalid[ti][s]--
-			t.size++
-			t.markPresent(key, true)
-			return ti, s, &ss[i].val
-		}
+	vp = t.place(ti, s, key, val)
+	t.size++
+	t.markPresent(key, true)
+	return ti, s, vp
+}
+
+// roomier picks the install target among the candidate sets by
+// power-of-two choices: the set with more invalid ways, table 0 on ties.
+func (t *Table[V]) roomier(s0, s1 int) (ti, s int) {
+	if t.sets[1][s1].invalid > t.sets[0][s0].invalid {
+		return 1, s1
 	}
-	panic("cat: invalid-way accounting corrupted")
+	return 0, s0
+}
+
+// place stores (key, val) in the lowest free way of set s of table ti and
+// returns the stored value. The set must have a free way.
+func (t *Table[V]) place(ti, s int, key uint64, val V) *V {
+	st := &t.sets[ti][s]
+	w := bits.TrailingZeros64(^st.mask)
+	if w >= t.spec.Ways {
+		panic("cat: invalid-way accounting corrupted")
+	}
+	st.mask |= 1 << w
+	st.invalid--
+	sl := &t.setSlots(ti, s)[w]
+	*sl = slot[V]{key: key, val: val}
+	return &sl.val
 }
 
 // relocate attempts a one-level cuckoo move: find any entry in either
@@ -288,24 +284,15 @@ func (t *Table[V]) relocate(s0, s1 int) bool {
 	for ti, s := range [2]int{s0, s1} {
 		ss := t.setSlots(ti, s)
 		alt := 1 - ti
-		for i := range ss {
-			if !ss[i].valid {
+		for m := t.sets[ti][s].mask; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			as := t.setIndex(alt, ss[w].key)
+			if t.sets[alt][as].invalid == 0 {
 				continue
 			}
-			as := t.setIndex(alt, ss[i].key)
-			if t.invalid[alt][as] == 0 {
-				continue
-			}
-			dst := t.setSlots(alt, as)
-			for j := range dst {
-				if !dst[j].valid {
-					dst[j] = ss[i]
-					t.invalid[alt][as]--
-					ss[i].valid = false
-					t.invalid[ti][s]++
-					return true
-				}
-			}
+			t.place(alt, as, ss[w].key, ss[w].val)
+			t.vacate(ti, s, w)
+			return true
 		}
 	}
 	return false
@@ -318,12 +305,9 @@ func (t *Table[V]) Delete(key uint64) bool {
 	}
 	s0, s1 := t.setsOf(key)
 	for ti, s := range [2]int{s0, s1} {
-		ss := t.setSlots(ti, s)
-		for i := range ss {
-			if ss[i].valid && ss[i].key == key {
-				t.remove(ti, s, i)
-				return true
-			}
+		if w := t.find(ti, s, key); w >= 0 {
+			t.remove(ti, s, w)
+			return true
 		}
 	}
 	return false
@@ -333,31 +317,46 @@ func (t *Table[V]) Delete(key uint64) bool {
 // the caller located through ForEachInSet — without re-hashing its key,
 // and returns that key. It panics if the slot holds no entry.
 func (t *Table[V]) DeleteAt(ti, s, way int) uint64 {
-	sl := &t.setSlots(ti, s)[way]
-	if !sl.valid {
+	if way < 0 || way >= t.spec.Ways || t.sets[ti][s].mask&(1<<way) == 0 {
 		panic(fmt.Sprintf("cat: DeleteAt of invalid slot (table %d, set %d, way %d)", ti, s, way))
 	}
-	key := sl.key
+	key := t.setSlots(ti, s)[way].key
 	t.remove(ti, s, way)
 	return key
 }
 
 // remove invalidates the valid slot at (ti, s, way).
 func (t *Table[V]) remove(ti, s, way int) {
-	sl := &t.setSlots(ti, s)[way]
-	t.markPresent(sl.key, false)
-	*sl = slot[V]{}
-	t.invalid[ti][s]++
+	t.markPresent(t.setSlots(ti, s)[way].key, false)
+	t.vacate(ti, s, way)
 	t.size--
+}
+
+// vacate frees way of set s in table ti: its mask bit, its counter and
+// its contents.
+func (t *Table[V]) vacate(ti, s, way int) {
+	st := &t.sets[ti][s]
+	st.mask &^= 1 << way
+	st.invalid++
+	t.setSlots(ti, s)[way] = slot[V]{}
+}
+
+// valid reports whether slot i of table ti (an index into t.slots[ti])
+// holds an entry.
+func (t *Table[V]) valid(ti, i int) bool {
+	w := t.spec.Ways
+	return t.sets[ti][i/w].mask&(1<<(i%w)) != 0
 }
 
 // ForEach calls fn for every valid entry until fn returns false. The value
 // pointer may be mutated in place; keys must not be changed.
 func (t *Table[V]) ForEach(fn func(key uint64, val *V) bool) {
 	for ti := 0; ti < 2; ti++ {
-		for i := range t.slots[ti] {
-			if t.slots[ti][i].valid {
-				if !fn(t.slots[ti][i].key, &t.slots[ti][i].val) {
+		for s := range t.sets[ti] {
+			ss := t.setSlots(ti, s)
+			for m := t.sets[ti][s].mask; m != 0; m &= m - 1 {
+				sl := &ss[bits.TrailingZeros64(m)]
+				if !fn(sl.key, &sl.val) {
 					return
 				}
 			}
@@ -376,45 +375,40 @@ func (t *Table[V]) RandomEntry(rng *prince.CTR, pred func(key uint64, val *V) bo
 		// qualifying entries (the common case: unlocked RIT entries).
 		for tries := 0; tries < 16; tries++ {
 			idx := rng.Intn(total)
-			ti := idx / (t.spec.Sets * t.spec.Ways)
-			sl := &t.slots[ti][idx%(t.spec.Sets*t.spec.Ways)]
-			if sl.valid && (pred == nil || pred(sl.key, &sl.val)) {
+			ti, i := idx/(t.spec.Sets*t.spec.Ways), idx%(t.spec.Sets*t.spec.Ways)
+			sl := &t.slots[ti][i]
+			if t.valid(ti, i) && (pred == nil || pred(sl.key, &sl.val)) {
 				return sl.key, &sl.val, true
 			}
 		}
 	}
 	// Reservoir sample over qualifying entries.
 	n := 0
-	for ti := 0; ti < 2; ti++ {
-		for i := range t.slots[ti] {
-			sl := &t.slots[ti][i]
-			if sl.valid && (pred == nil || pred(sl.key, &sl.val)) {
-				n++
-				if rng.Intn(n) == 0 {
-					key, val = sl.key, &sl.val
-				}
+	t.ForEach(func(k uint64, v *V) bool {
+		if pred == nil || pred(k, v) {
+			n++
+			if rng.Intn(n) == 0 {
+				key, val = k, v
 			}
 		}
-	}
+		return true
+	})
 	return key, val, n > 0
 }
 
 // SetLoad returns, for diagnostics and the Figure 9 experiment, the number
 // of valid entries in set s of table ti.
 func (t *Table[V]) SetLoad(ti, s int) int {
-	return t.spec.Ways - t.invalid[ti][s]
+	return t.spec.Ways - t.sets[ti][s].invalid
 }
 
 // Clear invalidates every entry while keeping the hash keys (a hardware
 // bulk-reset of valid bits).
 func (t *Table[V]) Clear() {
-	var zero slot[V]
 	for ti := 0; ti < 2; ti++ {
-		for i := range t.slots[ti] {
-			t.slots[ti][i] = zero
-		}
-		for s := range t.invalid[ti] {
-			t.invalid[ti][s] = t.spec.Ways
+		clear(t.slots[ti])
+		for s := range t.sets[ti] {
+			t.sets[ti][s] = setState{invalid: t.spec.Ways}
 		}
 	}
 	t.size = 0
@@ -422,23 +416,15 @@ func (t *Table[V]) Clear() {
 	t.bigKeys = 0
 }
 
-// SetsOf returns the two candidate set indices (in table 0 and table 1)
-// that key hashes to. The scalable Misra-Gries tracker uses this to
-// maintain its per-set minimum counters.
-func (t *Table[V]) SetsOf(key uint64) (s0, s1 int) {
-	return t.setsOf(key)
-}
-
 // ForEachInSet calls fn for every valid entry in set s of table ti until
 // fn returns false. way is the entry's position in the set, which DeleteAt
 // accepts.
 func (t *Table[V]) ForEachInSet(ti, s int, fn func(way int, key uint64, val *V) bool) {
 	ss := t.setSlots(ti, s)
-	for i := range ss {
-		if ss[i].valid {
-			if !fn(i, ss[i].key, &ss[i].val) {
-				return
-			}
+	for m := t.sets[ti][s].mask; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if !fn(w, ss[w].key, &ss[w].val) {
+			return
 		}
 	}
 }

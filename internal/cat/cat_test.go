@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/invariant"
 	"repro/internal/prince"
 )
 
@@ -280,6 +279,50 @@ func TestInvalidSpecPanics(t *testing.T) {
 	New[int](Spec{Sets: 0, Ways: 4}, 1)
 }
 
+func TestSpecValidate(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		ok   bool
+	}{
+		{Spec{Sets: 64, Ways: 20}, true},
+		{Spec{Sets: 1, Ways: 1}, true},
+		{Spec{Sets: 2, Ways: 64}, true},
+		{Spec{Sets: 0, Ways: 4}, false},
+		{Spec{Sets: 4, Ways: 0}, false},
+		{Spec{Sets: -1, Ways: 4}, false},
+		// One uint64 occupancy mask covers a set, so 64 ways is the cap.
+		{Spec{Sets: 4, Ways: 65}, false},
+	} {
+		if err := tc.spec.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate() = %v, want ok=%v", tc.spec, err, tc.ok)
+		}
+	}
+}
+
+// TestSixtyFourWays exercises the full-width mask: every way of a
+// one-set, 64-way table fills, the 129th install conflicts, and the way
+// a delete frees takes the next install.
+func TestSixtyFourWays(t *testing.T) {
+	tab := New[int](Spec{Sets: 1, Ways: 64}, 2)
+	for k := uint64(0); k < 128; k++ {
+		if tab.Install(k, int(k)) == nil {
+			t.Fatalf("install %d conflicted below capacity", k)
+		}
+	}
+	if tab.Install(1000, 0) != nil {
+		t.Fatal("install into a full table succeeded")
+	}
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !tab.Delete(63) || tab.Install(1000, 7) == nil || *tab.Lookup(1000) != 7 {
+		t.Fatal("freed way not reused")
+	}
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConflictExperimentMoreExtraWaysLastLonger(t *testing.T) {
 	base := ConflictExperiment{
 		Sets:        16,
@@ -448,35 +491,9 @@ func TestDeleteAtInvalidWayPanics(t *testing.T) {
 	tab.DeleteAt(ti, s, way)
 }
 
-// TestMemoKeyZeroSetZero pins the memo's zero-value encoding: key 0
-// hashing to set 0 in both tables (forced by a one-set geometry) is a
-// live memo entry, not the empty marker, so the memo answers for it and
-// the cat/memo check inspects it.
-func TestMemoKeyZeroSetZero(t *testing.T) {
-	tab := New[int](Spec{Sets: 1, Ways: 4}, 9)
-	if s0, s1 := tab.SetsOf(0); s0 != 0 || s1 != 0 {
-		t.Fatalf("SetsOf(0) = (%d,%d) in a one-set table", s0, s1)
-	}
-	if e := tab.idxCache[0]; e.s0p1 == 0 || e.key != 0 {
-		t.Fatalf("memo entry for key 0 reads as empty: %+v", e)
-	}
-	if tab.Install(0, 1) == nil || *tab.Lookup(0) != 1 {
-		t.Fatal("key 0 not stored")
-	}
-	if err := tab.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if !tab.CorruptMemoForTest(0, 3, 3) {
-		t.Fatal("corruption hook skipped key 0's memo entry as empty")
-	}
-	if v := invariant.AsViolation(tab.CheckInvariants()); v == nil || v.Invariant != "cat/memo" {
-		t.Fatalf("stale memo entry for key 0 undetected: %v", v)
-	}
-}
-
 // BenchmarkInstallDelete is the tracker's eviction churn on the paper's
 // tracker geometry: 1700 resident keys, every iteration installs a fresh
-// key and deletes the oldest, so the set-index memo mostly misses.
+// key and deletes the oldest, so every install hashes.
 func BenchmarkInstallDelete(b *testing.B) {
 	const live, span = 1700, 1 << 17
 	tab := New[int64](Spec{Sets: 64, Ways: 20}, 1)

@@ -9,31 +9,35 @@ import (
 // CheckInvariants verifies the table's structural invariants and returns
 // a typed *invariant.Violation describing the first mismatch:
 //
-//   - cat/occupancy: per-set invalid-way counters equal the number of
-//     invalid slots in that set, and no key is stored twice.
-//   - cat/placement: every valid slot's key hashes to the set holding it
-//     (recomputed from the raw hashes, bypassing the memo).
-//   - cat/size: the size counter equals the number of valid slots.
-//   - cat/memo: every populated set-index memo entry agrees with a fresh
-//     evaluation of both hash functions and sits in the memo slot its
-//     key's low bits select.
+//   - cat/occupancy: each set's occupancy mask has no bit at or above
+//     Ways, its invalid-way counter equals Ways minus the mask's
+//     population count, and no key is stored twice.
+//   - cat/placement: every occupied slot's key hashes to the set holding
+//     it (recomputed from each table's own hash).
+//   - cat/size: the size counter equals the number of occupied slots.
 //   - cat/presence: the miss-path bitset and large-key counter agree
 //     exactly with table membership (see CheckPresence).
 //
-// Cost is O(slots + memo); the paranoid engine runs it on a cadence.
+// Cost is O(slots); the paranoid engine runs it on a cadence.
 func (t *Table[V]) CheckInvariants() error {
 	seen := make(map[uint64]struct{}, t.size)
 	total := 0
 	for ti := 0; ti < 2; ti++ {
-		for s := 0; s < t.spec.Sets; s++ {
-			valid := 0
+		for s, st := range t.sets[ti] {
+			if high := st.mask >> t.spec.Ways; high != 0 {
+				return invariant.Violatedf("cat/occupancy",
+					"table %d set %d: occupancy mask %#x marks ways at or above %d",
+					ti, s, st.mask, t.spec.Ways)
+			}
+			valid := bits.OnesCount64(st.mask)
+			if st.invalid != t.spec.Ways-valid {
+				return invariant.Violatedf("cat/occupancy",
+					"table %d set %d: invalid-way counter %d, occupancy mask leaves %d ways free",
+					ti, s, st.invalid, t.spec.Ways-valid)
+			}
 			ss := t.setSlots(ti, s)
-			for i := range ss {
-				if !ss[i].valid {
-					continue
-				}
-				valid++
-				key := ss[i].key
+			for m := st.mask; m != 0; m &= m - 1 {
+				key := ss[bits.TrailingZeros64(m)].key
 				if _, dup := seen[key]; dup {
 					return invariant.Violatedf("cat/occupancy",
 						"key %#x stored in more than one slot", key)
@@ -45,34 +49,12 @@ func (t *Table[V]) CheckInvariants() error {
 						key, ti, s, want)
 				}
 			}
-			if inv := t.invalid[ti][s]; inv != t.spec.Ways-valid {
-				return invariant.Violatedf("cat/occupancy",
-					"table %d set %d: invalid-way counter %d, actual invalid ways %d",
-					ti, s, inv, t.spec.Ways-valid)
-			}
 			total += valid
 		}
 	}
 	if total != t.size {
 		return invariant.Violatedf("cat/size",
 			"size counter %d, valid slots %d", t.size, total)
-	}
-	for i := range t.idxCache {
-		e := &t.idxCache[i]
-		if e.s0p1 == 0 {
-			continue
-		}
-		if int(e.key&(1<<idxCacheBits-1)) != i {
-			return invariant.Violatedf("cat/memo",
-				"memo slot %d holds key %#x whose low bits select slot %d",
-				i, e.key, e.key&(1<<idxCacheBits-1))
-		}
-		s0, s1 := t.setIndex(0, e.key), t.setIndex(1, e.key)
-		if int(e.s0p1-1) != s0 || int(e.s1) != s1 {
-			return invariant.Violatedf("cat/memo",
-				"memo for key %#x caches sets (%d,%d), hashes give (%d,%d)",
-				e.key, e.s0p1-1, e.s1, s0, s1)
-		}
 	}
 	return t.CheckPresence()
 }
@@ -84,20 +66,23 @@ func (t *Table[V]) CheckInvariants() error {
 // run the full CheckInvariants sweep can still check the miss path.
 func (t *Table[V]) CheckPresence() error {
 	big, valid := 0, 0
+	// Mask bits at or above Ways are cat/occupancy's to report; skip them
+	// so a standalone call cannot index past a set.
+	ways := uint64(1)<<t.spec.Ways - 1
 	for ti := 0; ti < 2; ti++ {
-		for i := range t.slots[ti] {
-			sl := &t.slots[ti][i]
-			if !sl.valid {
-				continue
-			}
-			valid++
-			if sl.key >= maxBitsetKeys {
-				big++
-				continue
-			}
-			if w := sl.key >> 6; w >= uint64(len(t.present)) || t.present[w]&(1<<(sl.key&63)) == 0 {
-				return invariant.Violatedf("cat/presence",
-					"key %#x is stored but its presence bit is clear", sl.key)
+		for s, st := range t.sets[ti] {
+			ss := t.setSlots(ti, s)
+			for m := st.mask & ways; m != 0; m &= m - 1 {
+				key := ss[bits.TrailingZeros64(m)].key
+				valid++
+				if key >= maxBitsetKeys {
+					big++
+					continue
+				}
+				if w := key >> 6; w >= uint64(len(t.present)) || t.present[w]&(1<<(key&63)) == 0 {
+					return invariant.Violatedf("cat/presence",
+						"key %#x is stored but its presence bit is clear", key)
+				}
 			}
 		}
 	}
@@ -123,23 +108,33 @@ func (t *Table[V]) CheckPresence() error {
 // checker detects every corruption class. They exist for tests only and
 // must never be called by production code.
 
-// CorruptMemoForTest overwrites the set-index memo entry for key with the
-// given candidate sets, reporting whether key was cached.
-func (t *Table[V]) CorruptMemoForTest(key uint64, s0, s1 int32) bool {
-	if t.idxCache == nil {
-		return false
-	}
-	e := &t.idxCache[key&(1<<idxCacheBits-1)]
-	if e.s0p1 == 0 || e.key != key {
-		return false
-	}
-	e.s0p1, e.s1 = s0+1, s1
-	return true
-}
-
 // CorruptInvalidCountForTest skews one set's invalid-way counter.
 func (t *Table[V]) CorruptInvalidCountForTest(ti, s, delta int) {
-	t.invalid[ti][s] += delta
+	t.sets[ti][s].invalid += delta
+}
+
+// CorruptMaskForTest sets bit way (0..63, possibly at or above Ways) of
+// one set's occupancy mask without touching its invalid-way counter.
+func (t *Table[V]) CorruptMaskForTest(ti, s, way int) {
+	t.sets[ti][s].mask |= 1 << way
+}
+
+// slotOf returns the table, set and way holding key, or ok == false if
+// key is absent. It scans every occupied slot instead of hashing, so it
+// finds keys a corruption has left in the wrong set.
+func (t *Table[V]) slotOf(key uint64) (ti, s, way int, ok bool) {
+	for ti = 0; ti < 2; ti++ {
+		for s = range t.sets[ti] {
+			t.ForEachInSet(ti, s, func(w int, k uint64, _ *V) bool {
+				way, ok = w, k == key
+				return !ok
+			})
+			if ok {
+				return ti, s, way, true
+			}
+		}
+	}
+	return 0, 0, 0, false
 }
 
 // CorruptSizeForTest skews the size counter.
@@ -157,33 +152,26 @@ func (t *Table[V]) CorruptPresenceForTest(key uint64) {
 func (t *Table[V]) CorruptBigKeysForTest(delta int) { t.bigKeys += delta }
 
 // CorruptKeyForTest rewrites the stored key of oldKey's slot to newKey
-// without touching the set-index memo or moving the slot, reporting
-// whether oldKey was present. The presence bitset follows the rewrite, so
-// the corruption shows as a misplaced key, not as a presence mismatch.
+// without moving the slot, reporting whether oldKey was present. The
+// presence bitset follows the rewrite, so the corruption shows as a
+// misplaced key, not as a presence mismatch.
 func (t *Table[V]) CorruptKeyForTest(oldKey, newKey uint64) bool {
-	for ti := 0; ti < 2; ti++ {
-		for i := range t.slots[ti] {
-			if t.slots[ti][i].valid && t.slots[ti][i].key == oldKey {
-				t.slots[ti][i].key = newKey
-				t.markPresent(oldKey, false)
-				t.markPresent(newKey, true)
-				return true
-			}
-		}
+	ti, s, w, ok := t.slotOf(oldKey)
+	if ok {
+		t.setSlots(ti, s)[w].key = newKey
+		t.markPresent(oldKey, false)
+		t.markPresent(newKey, true)
 	}
-	return false
+	return ok
 }
 
-// DropEntryForTest clears the valid bit of key's slot without updating
-// the invalid-way counter or size, reporting whether key was present.
+// DropEntryForTest clears the occupancy-mask bit of key's slot without
+// updating the invalid-way counter or size, reporting whether key was
+// present.
 func (t *Table[V]) DropEntryForTest(key uint64) bool {
-	for ti := 0; ti < 2; ti++ {
-		for i := range t.slots[ti] {
-			if t.slots[ti][i].valid && t.slots[ti][i].key == key {
-				t.slots[ti][i].valid = false
-				return true
-			}
-		}
+	ti, s, w, ok := t.slotOf(key)
+	if ok {
+		t.sets[ti][s].mask &^= 1 << w
 	}
-	return false
+	return ok
 }

@@ -88,8 +88,8 @@ func (e ConflictExperiment) installsToConflict(rng *prince.CTR, capacity int, ma
 		}
 		key := nextKey
 		nextKey++
-		s0, s1 := t.setIndex(0, key), t.setIndex(1, key)
-		if t.invalid[0][s0] == 0 && t.invalid[1][s1] == 0 {
+		s0, s1 := t.setsOf(key)
+		if t.sets[0][s0].invalid == 0 && t.sets[1][s1].invalid == 0 {
 			return n // conflict on this install
 		}
 		t.Install(key, struct{}{})

@@ -344,18 +344,22 @@ func (r *RRS) OnEpoch(now int64) {
 // with a fresh random row in the bank.
 func (r *RRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.ActResult {
 	u := r.unit(id)
+	var count int64
 	var trigger bool
 	if u.hrt != nil {
-		trigger = u.hrt.Observe(uint64(row))
+		count, trigger = u.hrt.Observe(uint64(row))
 	} else {
 		trigger = r.probabilisticTrigger(u)
 	}
+	// A swap never touches the tracker, so the count Observe returned
+	// still holds after one.
+	headroom := r.headroom(count)
 	if !trigger {
-		return memctrl.ActResult{Headroom: r.headroom(u, uint64(row))}
+		return memctrl.ActResult{Headroom: headroom}
 	}
 	ops := r.swap(u, id, uint64(row), now)
 	if ops == 0 {
-		return memctrl.ActResult{Headroom: r.headroom(u, uint64(row))}
+		return memctrl.ActResult{Headroom: headroom}
 	}
 	block := ops * r.params.SwapOpCycles
 	r.stats.BlockCycles += block
@@ -363,20 +367,17 @@ func (r *RRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.Ac
 		rec.Record(obs.KindChannelBlocked, u.bank, uint64(row), uint64(ops), now, block)
 		rec.Observe(obs.HistSwapBlock, block)
 	}
-	return memctrl.ActResult{ChannelBlock: block, Headroom: r.headroom(u, uint64(row))}
+	return memctrl.ActResult{ChannelBlock: block, Headroom: headroom}
 }
 
-// headroom returns how many further consecutive activations of row are
-// guaranteed inert: a tracked row with estimated count c cannot cross
-// the next multiple of T_RRS for another T_RRS - 1 - (c mod T_RRS)
-// activations, and non-triggering activations have no other effect. The
-// probabilistic variant draws per activation, so it grants none.
-func (r *RRS) headroom(u *bankUnit, row uint64) int64 {
-	if u.hrt == nil {
-		return 0
-	}
-	c, ok := u.hrt.Count(row)
-	if !ok {
+// headroom returns how many further consecutive activations of a row
+// whose tracker estimate is c are guaranteed inert: a tracked row cannot
+// cross the next multiple of T_RRS for another T_RRS - 1 - (c mod T_RRS)
+// activations, and non-triggering activations have no other effect. An
+// untracked row (c == 0, which also stands for the probabilistic
+// variant's draw per activation) gets none.
+func (r *RRS) headroom(c int64) int64 {
+	if c == 0 {
 		return 0
 	}
 	return r.params.SwapThreshold - 1 - c%r.params.SwapThreshold

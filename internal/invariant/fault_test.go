@@ -235,15 +235,29 @@ func TestFaultCATTable(t *testing.T) {
 				tt.Fatal("drop hook missed")
 			}
 		}},
-		{"memo-rewrite", "cat/memo", func(tt *testing.T, c *tracker.CAT) {
-			// Find any row whose set-index memo entry is live; 31 cannot be
-			// a real set index with 8 sets.
-			for row := uint64(0); row < 1000; row++ {
-				if c.TableForTest().CorruptMemoForTest(row, 31, 31) {
-					return
+		{"mask-bit-without-counter", "cat/occupancy", func(tt *testing.T, c *tracker.CAT) {
+			// Mark ways taken until one was free (16 entries over 16 sets
+			// of 8 ways leave plenty); its counter is not touched.
+			for s := 0; s < 8; s++ {
+				for way := 0; way < 8; way++ {
+					c.TableForTest().CorruptMaskForTest(0, s, way)
+					if c.CheckInvariants() != nil {
+						return
+					}
 				}
 			}
-			tt.Fatal("no memoized key found")
+			tt.Fatal("every way was already taken")
+		}},
+		{"mask-bit-past-ways", "cat/occupancy", func(_ *testing.T, c *tracker.CAT) {
+			// Way 8 does not exist with 8 ways. Taking one from the
+			// counter keeps it equal to Ways minus the mask's population
+			// count, so only the range check can see this.
+			c.TableForTest().CorruptMaskForTest(1, 3, 8)
+			c.TableForTest().CorruptInvalidCountForTest(1, 3, -1)
+		}},
+		{"mask-bit-63", "cat/occupancy", func(_ *testing.T, c *tracker.CAT) {
+			c.TableForTest().CorruptMaskForTest(0, 5, 63)
+			c.TableForTest().CorruptInvalidCountForTest(0, 5, -1)
 		}},
 		{"key-rewrite", "cat/placement", func(tt *testing.T, c *tracker.CAT) {
 			// Rewrite a stored key until the replacement hashes to a

@@ -31,12 +31,14 @@
 //     (cat/* below), Misra-Gries count lower bound (no estimate below the spill
 //     counter); CAM slot/index agreement and cached-minimum exactness.
 //   - tracker/shadow: map-based Misra-Gries reference replays every
-//     observation and cross-checks counts, spill, triggers, installs
-//     and evictions at the first mismatch.
-//   - cat/structure: two-table occupancy (invalid-way counters vs valid
-//     slots), size accounting, slot-placement consistency (every key
-//     sits in a set its hashes select), set-index memo integrity, no
-//     duplicate keys, and presence-bitset agreement (cat/presence).
+//     observation and cross-checks counts (the one Observe returns
+//     included), spill, triggers, installs and evictions at the first
+//     mismatch.
+//   - cat/structure: two-table occupancy (each set's occupancy mask
+//     against its invalid-way counter, no mask bit past the set's ways),
+//     size accounting, slot-placement consistency (every key sits in a
+//     set its hashes select), no duplicate keys, and presence-bitset
+//     agreement (cat/presence).
 //   - dram/structure: activation count/dirty-list agreement, and the
 //     sparse content map holding only rows inside the bank.
 //   - dram/swap-conservation: every SwapRows/CycleRows is re-read after

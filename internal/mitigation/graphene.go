@@ -75,7 +75,7 @@ func (m *Graphene) OnEpoch(int64) {
 // OnActivate implements memctrl.Mitigation.
 func (m *Graphene) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.ActResult {
 	u := m.units[bankIndex(m.cfg, id)]
-	if !u.Observe(uint64(row)) {
+	if _, crossed := u.Observe(uint64(row)); !crossed {
 		return memctrl.ActResult{}
 	}
 	m.stat.Mitigations++

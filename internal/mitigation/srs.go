@@ -224,8 +224,11 @@ func (s *SRS) OnEpoch(int64) {
 // random cold slot and refresh the slot's neighbours.
 func (s *SRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.ActResult {
 	u := s.unit(id)
-	if !u.hrt.Observe(uint64(physRow)) {
-		return memctrl.ActResult{Headroom: s.headroom(u, uint64(physRow))}
+	count, crossed := u.hrt.Observe(uint64(physRow))
+	// A swap never touches the tracker, so count still holds after one.
+	headroom := s.headroom(count)
+	if !crossed {
+		return memctrl.ActResult{Headroom: headroom}
 	}
 	// The slot has absorbed SwapThreshold activations: refresh its
 	// neighbours (they carry the accumulated disturbance) and move the
@@ -233,12 +236,11 @@ func (s *SRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.Ac
 	n := refreshPair(s.sys, id, physRow, now)
 	s.stat.Refreshes += int64(n)
 	s.recordRefresh(u.bank, physRow, n, now)
-	res := memctrl.ActResult{BankBlock: victimRefreshCost(s.cfg, n)}
+	res := memctrl.ActResult{BankBlock: victimRefreshCost(s.cfg, n), Headroom: headroom}
 
 	dest, ok := s.pickDestination(u, physRow)
 	if !ok {
 		s.stat.SkippedSwaps++
-		res.Headroom = s.headroom(u, uint64(physRow))
 		return res
 	}
 	destPhys := u.perm.at(dest)
@@ -256,16 +258,15 @@ func (s *SRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.Ac
 		rec.Observe(obs.HistSwapBlock, s.params.SwapOpCycles)
 	}
 	res.ChannelBlock = s.params.SwapOpCycles
-	res.Headroom = s.headroom(u, uint64(physRow))
 	return res
 }
 
 // headroom mirrors RRS's grant: a slot with estimated count c cannot
 // cross the next multiple of SwapThreshold for another T-1-(c mod T)
-// activations, and non-triggering activations are inert.
-func (s *SRS) headroom(u *srsUnit, slot uint64) int64 {
-	c, ok := u.hrt.Count(slot)
-	if !ok {
+// activations, and non-triggering activations are inert. An untracked
+// slot (c == 0) gets none.
+func (s *SRS) headroom(c int64) int64 {
+	if c == 0 {
 		return 0
 	}
 	return s.params.SwapThreshold - 1 - c%s.params.SwapThreshold

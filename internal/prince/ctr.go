@@ -88,3 +88,11 @@ func NewHash64(k0, k1 uint64) *Hash64 {
 func (h *Hash64) Sum(x uint64) uint64 {
 	return h.c.Encrypt(x)
 }
+
+// Sum2 returns (h0.Sum(x), h1.Sum(x)) from one interleaved pass: the two
+// table-driven schedules advance round by round together, so the CPU
+// overlaps their two dependent lookup chains instead of running them
+// back to back. The CAT's two set indexes are computed this way.
+func Sum2(h0, h1 *Hash64, x uint64) (uint64, uint64) {
+	return run2(&h0.c.enc, &h1.c.enc, x)
+}

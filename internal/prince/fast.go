@@ -88,3 +88,18 @@ func (ks *schedule) run(m uint64) uint64 {
 	}
 	return subInv(s) ^ ks.out
 }
+
+// run2 is run under two schedules at once. Each round's two lookup
+// chains are independent, so writing them side by side lets the core
+// issue both sets of loads before either result is needed.
+func run2(a, b *schedule, m uint64) (uint64, uint64) {
+	s, t := m^a.in, m^b.in
+	for i := range a.fwd {
+		s, t = tround(s, &fwdTab)^a.fwd[i], tround(t, &fwdTab)^b.fwd[i]
+	}
+	s, t = tround(s, &midTab), tround(t, &midTab)
+	for i := range a.bwd {
+		s, t = tround(s, &bwdTab)^a.bwd[i], tround(t, &bwdTab)^b.bwd[i]
+	}
+	return subInv(s) ^ a.out, subInv(t) ^ b.out
+}

@@ -159,7 +159,11 @@ func TestHash64IndependentKeys(t *testing.T) {
 	h2 := NewHash64(0x3333, 0x4444)
 	matches := 0
 	for x := uint64(0); x < 256; x++ {
-		if h1.Sum(x)%64 == h2.Sum(x)%64 {
+		a, b := Sum2(h1, h2, x)
+		if a != h1.Sum(x) || b != h2.Sum(x) {
+			t.Fatalf("Sum2(h1, h2, %d) = (%016x, %016x), want (%016x, %016x)", x, a, b, h1.Sum(x), h2.Sum(x))
+		}
+		if a%64 == b%64 {
 			matches++
 		}
 	}
@@ -181,6 +185,25 @@ func BenchmarkEncrypt(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink ^= c.Encrypt(uint64(i))
+	}
+	_ = sink
+}
+
+func BenchmarkHash64SumPair(b *testing.B) {
+	h0, h1 := NewHash64(1, 2), NewHash64(3, 4)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink ^= h0.Sum(uint64(i)) ^ h1.Sum(uint64(i))
+	}
+	_ = sink
+}
+
+func BenchmarkSum2(b *testing.B) {
+	h0, h1 := NewHash64(1, 2), NewHash64(3, 4)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		x, y := Sum2(h0, h1, uint64(i))
+		sink ^= x ^ y
 	}
 	_ = sink
 }
@@ -223,7 +246,9 @@ func TestReferenceVectors(t *testing.T) {
 
 // FuzzCipherMatchesReference checks the precomputed per-key round
 // constants of both directions: Encrypt must equal the whitened reference
-// core for any key, and Decrypt must invert it.
+// core for any key, and Decrypt must invert it. It also checks that the
+// interleaved Sum2 under two fuzzed keys (k0, k1) and (k1, k0) equals
+// two single evaluations of the reference core.
 func FuzzCipherMatchesReference(f *testing.F) {
 	for _, v := range vectors {
 		f.Add(v.k0, v.k1, v.pt)
@@ -237,5 +262,26 @@ func FuzzCipherMatchesReference(f *testing.F) {
 		if pt := c.Decrypt(ct); pt != m {
 			t.Fatalf("Decrypt(Encrypt(%016x)) = %016x under (%016x, %016x)", m, pt, k0, k1)
 		}
+		a, b := Sum2(NewHash64(k0, k1), NewHash64(k1, k0), m)
+		if wa, wb := refEncrypt(k0, k1, m), refEncrypt(k1, k0, m); a != wa || b != wb {
+			t.Fatalf("Sum2 of %016x under (%016x, %016x) and its swap = (%016x, %016x), reference (%016x, %016x)",
+				m, k0, k1, a, b, wa, wb)
+		}
 	})
+}
+
+// TestSum2Vectors pins Sum2 to the official vectors in both lanes: each
+// vector's key in one lane, the next vector's key in the other.
+func TestSum2Vectors(t *testing.T) {
+	for i, v := range vectors {
+		w := vectors[(i+1)%len(vectors)]
+		a, b := Sum2(NewHash64(v.k0, v.k1), NewHash64(w.k0, w.k1), v.pt)
+		if a != v.ct || b != refEncrypt(w.k0, w.k1, v.pt) {
+			t.Errorf("vector %d: Sum2 = (%016x, %016x), want (%016x, %016x)", i, a, b, v.ct, refEncrypt(w.k0, w.k1, v.pt))
+		}
+		a, b = Sum2(NewHash64(w.k0, w.k1), NewHash64(v.k0, v.k1), v.pt)
+		if b != v.ct {
+			t.Errorf("vector %d in the second lane: Sum2 gives %016x, want %016x", i, b, v.ct)
+		}
+	}
 }

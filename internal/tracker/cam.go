@@ -161,7 +161,7 @@ func (c *CAM) idxDelete(row uint64) {
 }
 
 // Observe implements Tracker.
-func (c *CAM) Observe(row uint64) bool {
+func (c *CAM) Observe(row uint64) (int64, bool) {
 	if s := c.lookup(row); s >= 0 {
 		cnt := c.cnts[s]
 		c.cnts[s] = cnt + 1
@@ -175,7 +175,7 @@ func (c *CAM) Observe(row uint64) bool {
 		if crossed && c.rec != nil {
 			c.rec.RecordNow(obs.KindHRTCross, c.obsBank, row, uint64(cnt+1))
 		}
-		return crossed
+		return cnt + 1, crossed
 	}
 	// Installs never trigger: a row not in the table has a true count of
 	// at most the spill counter, which the Misra-Gries sizing bounds by
@@ -190,11 +190,11 @@ func (c *CAM) Observe(row uint64) bool {
 		if c.rec != nil {
 			c.rec.RecordNow(obs.KindHRTInsert, c.obsBank, row, uint64(c.spill+1))
 		}
-		return false
+		return c.spill + 1, false
 	}
 	if c.minVal > c.spill {
 		c.spill++
-		return false
+		return 0, false
 	}
 	// minVal == spill (minVal < spill is impossible; the spill counter
 	// only advances past the minimum): replace one minimum entry with the
@@ -216,7 +216,7 @@ func (c *CAM) Observe(row uint64) bool {
 	if c.rec != nil {
 		c.rec.RecordNow(obs.KindHRTInsert, c.obsBank, row, uint64(c.spill+1))
 	}
-	return false
+	return c.spill + 1, false
 }
 
 // ObserveN implements Tracker. For a tracked row the n counter bumps
@@ -247,7 +247,7 @@ func (c *CAM) ObserveN(row uint64, n int64) int {
 	}
 	fired := 0
 	for i := int64(0); i < n; i++ {
-		if c.Observe(row) {
+		if _, crossed := c.Observe(row); crossed {
 			fired++
 		}
 	}

@@ -166,7 +166,7 @@ func (t *CAT) globalMin() int64 {
 }
 
 // Observe implements Tracker.
-func (t *CAT) Observe(row uint64) bool {
+func (t *CAT) Observe(row uint64) (int64, bool) {
 	if ti, s, p := t.tab.LookupPos(row); p != nil {
 		prev := *p
 		*p = prev + 1
@@ -179,21 +179,17 @@ func (t *CAT) Observe(row uint64) bool {
 		if crossed && t.rec != nil {
 			t.rec.RecordNow(obs.KindHRTCross, t.obsBank, row, uint64(prev+1))
 		}
-		return crossed
+		return prev + 1, crossed
 	}
 	// Installs never trigger (see the CAM implementation's comment: an
 	// untracked row's true count is bounded by the spill counter < T).
 	if t.tab.Len() < t.capacity {
-		t.install(row, t.spill+1)
-		if t.rec != nil {
-			t.rec.RecordNow(obs.KindHRTInsert, t.obsBank, row, uint64(t.spill+1))
-		}
-		return false
+		return t.install(row), false
 	}
 	min := t.globalMin()
 	if min > t.spill {
 		t.spill++
-		return false
+		return 0, false
 	}
 	// Replace an entry holding the minimum count: find a set whose SetMin
 	// equals the global minimum and evict a minimum entry from it.
@@ -208,11 +204,7 @@ func (t *CAT) Observe(row uint64) bool {
 		}
 		t.recomputeSetMin(vti, vs)
 	}
-	t.install(row, t.spill+1)
-	if t.rec != nil {
-		t.rec.RecordNow(obs.KindHRTInsert, t.obsBank, row, uint64(t.spill+1))
-	}
-	return false
+	return t.install(row), false
 }
 
 // ObserveN implements Tracker: n counter bumps collapse into one
@@ -238,7 +230,7 @@ func (t *CAT) ObserveN(row uint64, n int64) int {
 	}
 	fired := 0
 	for i := int64(0); i < n; i++ {
-		if t.Observe(row) {
+		if _, crossed := t.Observe(row); crossed {
 			fired++
 		}
 	}
@@ -268,20 +260,25 @@ func (t *CAT) findMinEntry(min int64) (ti, s, way int, found bool) {
 	return 0, 0, 0, false
 }
 
-// install adds row at the given count; a CAT conflict (astronomically rare
-// with 6 extra ways) falls back to dropping the install, which only makes
-// the tracker more conservative about the spill bound on the next miss.
-func (t *CAT) install(row uint64, cnt int64) {
+// install adds a missed row at spill+1 and returns that count, or 0 when
+// a CAT conflict (astronomically rare with 6 extra ways) dropped the
+// install, which only makes the tracker more conservative about the
+// spill bound on the next miss.
+func (t *CAT) install(row uint64) int64 {
+	cnt := t.spill + 1
 	ti, s, vp := t.tab.InstallPos(row, cnt)
+	if vp == nil {
+		return 0
+	}
+	if t.rec != nil {
+		t.rec.RecordNow(obs.KindHRTInsert, t.obsBank, row, uint64(cnt))
+	}
 	if r := t.tab.Relocations(); r != t.relocs {
 		// A cuckoo move shifted a third entry between sets; the
 		// incremental bookkeeping cannot attribute it, so rebuild.
 		t.relocs = r
 		t.recomputeAllSetMin()
-		return
-	}
-	if vp == nil {
-		return
+		return cnt
 	}
 	if cnt < t.setMin[ti][s] {
 		t.setMin[ti][s] = cnt
@@ -289,6 +286,7 @@ func (t *CAT) install(row uint64, cnt int64) {
 			t.gmin = cnt
 		}
 	}
+	return cnt
 }
 
 // EnableEvictionLog implements EvictionReporter.

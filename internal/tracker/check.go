@@ -31,7 +31,7 @@ var (
 //   - tracker/count: entry count within capacity.
 //
 // It also runs the underlying cat.Table's own structural checks, so a
-// paranoid run covers CAT occupancy/placement/memo/presence through the
+// paranoid run covers CAT occupancy/placement/size/presence through the
 // tracker.
 func (t *CAT) CheckInvariants() error {
 	if err := t.tab.CheckInvariants(); err != nil {
@@ -181,10 +181,10 @@ func (t *CAT) CorruptPresenceForTest(row uint64) { t.tab.CorruptPresenceForTest(
 func (t *CAT) CorruptBigRowsForTest(delta int) { t.tab.CorruptBigKeysForTest(delta) }
 
 // TableForTest exposes the underlying CAT so the fault-injection suite
-// can corrupt table-level state (memo, invalid-way counters) through a
-// realistic owner.
+// can corrupt table-level state (occupancy masks, invalid-way counters)
+// through a realistic owner.
 func (t *CAT) TableForTest() interface {
-	CorruptMemoForTest(key uint64, s0, s1 int32) bool
+	CorruptMaskForTest(ti, s, way int)
 	CorruptInvalidCountForTest(ti, s, delta int)
 	CorruptSizeForTest(delta int)
 	CorruptKeyForTest(oldKey, newKey uint64) bool

@@ -123,14 +123,14 @@ func (s *Shadow) removeRef(row uint64) {
 
 // Observe implements Tracker: the observation runs on the wrapped
 // tracker, then the reference model mirrors it and every externally
-// visible consequence is cross-checked.
-func (s *Shadow) Observe(row uint64) bool {
+// visible consequence is cross-checked, the returned count included.
+func (s *Shadow) Observe(row uint64) (int64, bool) {
 	var preEv uint64
 	if s.rec != nil {
 		preEv = s.rec.Evictions()
 	}
 	preLen := s.inner.Len()
-	fired := s.inner.Observe(row)
+	count, fired := s.inner.Observe(row)
 	s.checks++
 	if prev, tracked := s.counts[row]; tracked {
 		cur := prev + 1
@@ -157,7 +157,10 @@ func (s *Shadow) Observe(row uint64) bool {
 	if got := s.inner.Len(); got != len(s.counts) {
 		s.report("tracker holds %d entries, reference model %d", got, len(s.counts))
 	}
-	return fired
+	if want := s.counts[row]; count != want {
+		s.report("Observe(%d) returned count %d, reference model says %d (0 = untracked)", row, count, want)
+	}
+	return count, fired
 }
 
 // afterMissReported mirrors an observation of an untracked row using the
@@ -305,7 +308,7 @@ func (s *Shadow) ObserveN(row uint64, n int64) int {
 	}
 	fired := 0
 	for i := int64(0); i < n; i++ {
-		if s.Observe(row) {
+		if _, crossed := s.Observe(row); crossed {
 			fired++
 		}
 		if _, tracked := s.counts[row]; tracked {

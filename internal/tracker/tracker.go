@@ -27,8 +27,11 @@ import "repro/internal/obs"
 type Tracker interface {
 	// Observe records one activation of row and reports whether the row's
 	// estimated count just crossed a multiple of the threshold — i.e.,
-	// whether the mitigating action (row swap) should run now.
-	Observe(row uint64) bool
+	// whether the mitigating action (row swap) should run now. count is
+	// the row's estimate after the observation, as Count would report it,
+	// or 0 if the row is left untracked; callers that need the estimate
+	// take it from here instead of paying a second lookup.
+	Observe(row uint64) (count int64, crossed bool)
 	// ObserveN records n consecutive activations of row in one bulk
 	// update, with final state identical to n Observe calls, and returns
 	// how many of them crossed a multiple of the threshold. The memory
