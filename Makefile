@@ -73,13 +73,18 @@ loadgen-smoke:
 		-cache-fraction 0.25 -out BENCH_PR8.fleet.json
 
 # fuzz hammers the spec and sweep decode/normalize/hash pipelines
-# briefly, then cross-checks the table-driven PRINCE against its
-# reference core under fuzzed keys. A sweep input can expand to 4096
-# children (~0.15 s per run), so minimizing one with the default 60 s
-# budget would eat the whole sweep fuzz window; it is capped at 50 runs.
+# briefly, then the Retry-After parser and journal replay (never a
+# panic, compaction a fixed point, every replayed done job resolvable
+# in the result store), then cross-checks the table-driven PRINCE
+# against its reference core under fuzzed keys. A sweep input can expand
+# to 4096 children (~0.15 s per run), so minimizing one with the default
+# 60 s budget would eat the whole sweep fuzz window; it is capped at 50
+# runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSpecDecode -fuzztime 30s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzSweepSpecDecode -fuzztime 20s -fuzzminimizetime 50x ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzParseRetryAfter -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s -fuzzminimizetime 50x ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzCipherMatchesReference -fuzztime 10s ./internal/prince/
 
 # serve starts the simulation job service on :8080.

@@ -1,16 +1,16 @@
 // Command rrs-serve exposes the simulation engine as an HTTP job
 // service: submitted specs are queued FIFO, executed by a worker pool,
-// answered from a content-addressed result cache on re-submission, and
+// answered from a content-addressed result store on re-submission, and
 // observable through per-job status and a Prometheus/JSON metrics
 // endpoint.
 //
 // Usage:
 //
-//	rrs-serve -addr :8080 -workers 8 -queue-depth 128 -cache-entries 512 -journal jobs.journal
+//	rrs-serve -addr :8080 -workers 8 -queue-depth 128 -journal jobs.journal
 //
 // With -journal, accepted specs and terminal states are written to an
 // append-only JSONL write-ahead log. On startup the journal is replayed:
-// finished results repopulate the cache, and jobs that never reached a
+// finished results repopulate the result store, and jobs that never reached a
 // terminal state are re-enqueued under their original ids — a kill -9
 // mid-sweep loses no accepted work. Transiently failed runs are retried
 // automatically up to -job-retries times, and a panic inside a
@@ -26,7 +26,7 @@
 // child hash once the sweep is terminal. The parent is journaled too,
 // so a kill -9 mid-sweep re-expands and resumes from the completed
 // children on restart, and resubmitting a finished sweep is answered
-// almost entirely from the result cache — the rrs_sweep_* metrics
+// entirely from the result store — the rrs_sweep_* metrics
 // count both. rrs-experiments -server submits each figure's grid this
 // way. See DESIGN.md §15.
 //
@@ -47,7 +47,7 @@
 // to the owner, job polls are proxied to the job's home node, health
 // probes (carrying the gossiped membership table) shrink the ring
 // around dead peers, idle nodes steal queued work from backed-up ones,
-// every node answers from the whole fleet's result caches, and each
+// every node answers from the whole fleet's result stores, and each
 // completed result is replicated to its ring successor so a single
 // node death never costs a re-simulation (anti-entropy repair keeps
 // that invariant through churn). See internal/fleet, DESIGN.md §13–14.
@@ -118,7 +118,6 @@ func run() error {
 		debugAddr    = flag.String("debug-addr", "", "listen address for the pprof/expvar debug server (empty disables; keep it private)")
 		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue-depth", 64, "max queued jobs before 429s")
-		cacheEntries = flag.Int("cache-entries", 256, "result cache capacity (-1 disables)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job run limit (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for accepted jobs; leftovers journal-requeue")
 		jobRetries   = flag.Int("job-retries", 2, "automatic retries for transiently failed runs (-1 disables)")
@@ -152,7 +151,6 @@ func run() error {
 	svcOpts := service.Options{
 		Workers:            *workers,
 		QueueDepth:         *queueDepth,
-		CacheEntries:       *cacheEntries,
 		DefaultTimeout:     *jobTimeout,
 		JobRetries:         *jobRetries,
 		Journal:            journal,

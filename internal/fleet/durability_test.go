@@ -372,6 +372,33 @@ func TestFleetReplicaQueueBoundedAndRepairBackstop(t *testing.T) {
 	}
 }
 
+// TestFleetCacheLookupKeepsOldResults: the fan-out and replica-check
+// endpoint answers from the node's whole result store, so a result is
+// still held after the node has finished 300 more.
+func TestFleetCacheLookupKeepsOldResults(t *testing.T) {
+	n := soloNode(t, "n1", nil)
+	mgr := n.node.Manager()
+	for seed := uint64(1); seed <= 301; seed++ {
+		j, err := mgr.Submit(uniqueSpec(seed))
+		if err != nil {
+			t.Fatalf("submit seed %d: %v", seed, err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("seed %d never finished", seed)
+		}
+	}
+	resp, err := http.Head(n.srv.URL + "/v1/fleet/cache/" + uniqueSpec(1).Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HEAD for the first job's hash = %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestFleetRepairAfterOwnershipMoved(t *testing.T) {
 	// Replication disabled: the result exists only where it was computed,
 	// which is NOT its ring owner — the post-churn shape repair fixes.

@@ -17,8 +17,8 @@ import (
 //	GET/DELETE /v1/jobs/{id}...   proxied to the job's home node (by id prefix)
 //	POST /v1/sweeps               accepted locally; children ring-route by their own hash
 //	GET  /v1/results/{hash}       result by content hash, fleet-wide (local store, then peers)
-//	GET  /v1/fleet/cache/{hash}   local result-cache lookup (the fan-out target)
-//	POST /v1/fleet/replica        accept a result copy into the local cache
+//	GET  /v1/fleet/cache/{hash}   local result-store lookup (the fan-out target)
+//	POST /v1/fleet/replica        accept a result copy into the local store
 //	POST /v1/fleet/gossip         membership-table exchange (probe piggyback)
 //	GET  /v1/fleet/members        the local membership table
 //	POST /v1/fleet/steal          lend one queued job to a thief peer
@@ -175,7 +175,7 @@ func (n *Node) handleRouted(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCache answers a peer's fan-out lookup from the local result
-// cache only — it must never trigger a run or a further fan-out.
+// store only — it must never trigger a run or a further fan-out.
 func (n *Node) handleCache(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if res, ok := n.mgr.CachedResult(hash); ok {

@@ -236,7 +236,7 @@ func New(opts Options) (*Node, error) {
 	// (falling back to so.Run locally), so one sweep spreads fleet-wide.
 	so.RunChild = n.childRun(so.Run)
 	// Every locally computed result (including accepted steal donations)
-	// feeds the replication queue the moment it enters the cache.
+	// feeds the replication queue the moment it enters the result store.
 	userOnResult := so.OnResult
 	so.OnResult = func(hash string, res sim.Result) {
 		if userOnResult != nil {
@@ -263,7 +263,7 @@ func (n *Node) registerMetrics() {
 		"rrs_fleet_proxied_total":               "Job status/result/cancel requests proxied to the job's home node.",
 		"rrs_fleet_proxy_misses_total":          "Proxied requests whose home node was unreachable (answered 404 so the client resubmits).",
 		"rrs_fleet_cache_fanout_checks_total":   "Runs that asked the fleet's caches before simulating.",
-		"rrs_fleet_cache_fanout_hits_total":     "Runs answered by a peer's result cache instead of simulating.",
+		"rrs_fleet_cache_fanout_hits_total":     "Runs answered by a peer's result store instead of simulating.",
 		"rrs_fleet_steals_total":                "Jobs this node stole from a peer and completed.",
 		"rrs_fleet_steal_failures_total":        "Stolen runs that failed locally (the victim's lease reclaims the job).",
 		"rrs_fleet_lent_total":                  "Queued jobs lent to a thief peer.",
@@ -272,7 +272,7 @@ func (n *Node) registerMetrics() {
 		"rrs_fleet_reclaims_total":              "Stolen-job leases that expired and requeued locally.",
 		"rrs_fleet_peer_flaps_total":            "Peer routability transitions (either direction) after hysteresis.",
 		"rrs_fleet_replicated_total":            "Results pushed to their ring successor (completion-time replication plus repair).",
-		"rrs_fleet_replicas_received_total":     "Replica payloads accepted into the local result cache.",
+		"rrs_fleet_replicas_received_total":     "Replica payloads accepted into the local result store.",
 		"rrs_fleet_replica_failures_total":      "Replica pushes that failed after retries (the repair loop retries later).",
 		"rrs_fleet_replica_drops_total":         "Results dropped from the full replication queue (repair re-establishes their copies).",
 		"rrs_fleet_repair_checks_total":         "Held results whose successor replica the anti-entropy loop verified.",
@@ -546,7 +546,7 @@ func (n *Node) clientFor(p Peer) *service.Client {
 }
 
 // fanoutRun wraps the manager's executor with the fleet-wide cache
-// lookup: before simulating, ask every routable peer's result cache for
+// lookup: before simulating, ask every routable peer's result store for
 // the spec's content hash; any hit is returned as this job's result
 // (and enters the local cache through the normal completion path).
 func (n *Node) fanoutRun(inner service.RunFunc) service.RunFunc {

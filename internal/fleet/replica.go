@@ -15,7 +15,7 @@ import (
 // completed result exists on K=2 nodes — the one that computed it plus
 // the first other live peer in its spec hash's rendezvous order (the
 // successor while we own the hash; the current owner if ownership has
-// moved away from us). The payload is the cache entry itself
+// moved away from us). The payload is the stored result itself
 // (Timeline- and Mitigation-stripped), so when the home node dies the
 // existing cache fan-out finds the copy on the successor and a
 // poll-404 resubmit is answered from cache instead of re-simulating.
@@ -28,7 +28,7 @@ import (
 // anti-entropy repair loop, which slowly walks everything this node
 // holds and verifies each hash's replica target still has the bytes.
 
-// replicaTask is one queued replication: a cache entry to copy out.
+// replicaTask is one queued replication: a stored result to copy out.
 type replicaTask struct {
 	hash string
 	res  sim.Result
@@ -160,7 +160,7 @@ func (n *Node) peerHolds(ctx context.Context, p Peer, hash string) bool {
 }
 
 // RepairOnce runs one anti-entropy batch: walk up to RepairBatch of
-// the results this node holds (done jobs and cache entries alike,
+// the results this node holds (the result store's keys in sorted order,
 // cursor-advanced across calls so big sets are covered a slice at a
 // time), verify the current replica target still holds each one, and
 // re-push the ones it lost — the invariant-restoring move after
@@ -194,7 +194,7 @@ func (n *Node) RepairOnce(ctx context.Context) (checked, repaired int) {
 		if n.peerHolds(ctx, target, hash) {
 			continue
 		}
-		res, ok := n.mgr.ResultByHash(hash)
+		res, ok := n.mgr.CachedResult(hash)
 		if !ok {
 			continue
 		}
@@ -206,7 +206,7 @@ func (n *Node) RepairOnce(ctx context.Context) (checked, repaired int) {
 	return checked, repaired
 }
 
-// handleReplica accepts a pushed replica into the local result cache.
+// handleReplica accepts a pushed replica into the local result store.
 // No job record is created and OnResult does not fire — a replica must
 // never fan back out from the receiving side.
 func (n *Node) handleReplica(w http.ResponseWriter, r *http.Request) {

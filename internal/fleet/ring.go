@@ -4,7 +4,7 @@
 // non-owners forward to the owner with retry/backoff, and a health-gated
 // failure detector shrinks the ring so work re-routes when a node dies.
 // Idle nodes steal queued work from backed-up peers, and every node
-// consults the whole fleet's result caches before re-running a spec.
+// consults the whole fleet's result stores before re-running a spec.
 //
 // The design leans on two properties the single-node service already
 // has: submissions are idempotent (content-hash coalescing), and the

@@ -77,7 +77,7 @@ func TestStealRunsRemotelyAndDonatesBack(t *testing.T) {
 	if v := j.Snapshot(); v.State != service.StateDone {
 		t.Fatalf("stolen job state = %s (%s), want done", v.State, v.Error)
 	}
-	res, _ := j.Result()
+	res, _ := victim.node.mgr.CachedResult(j.Hash())
 	if res.IPC != 2 {
 		t.Fatalf("stolen job IPC = %v, want 2", res.IPC)
 	}
@@ -191,7 +191,7 @@ func TestStealLeaseReclaimAndStaleDonation(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("reclaimed job never ran")
 	}
-	res, _ := j.Result()
+	res, _ := victim.node.mgr.CachedResult(j.Hash())
 	if res.IPC != 21 {
 		t.Fatalf("reclaimed job IPC = %v, want 21 (local run, not the stale 999)", res.IPC)
 	}

@@ -73,7 +73,7 @@ func (n *Node) childRun(local service.RunFunc) service.RunFunc {
 // answering from there keeps failover from re-queueing finished work.
 func (n *Node) handleResultByHash(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	if res, ok := n.mgr.ResultByHash(hash); ok {
+	if res, ok := n.mgr.CachedResult(hash); ok {
 		service.WriteJSON(w, http.StatusOK, service.ResultEnvelope{
 			Hash: hash, CacheHit: true, Result: res,
 		})

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -288,16 +289,20 @@ func (c *Client) Run(ctx context.Context, spec Spec) (sim.Result, error) {
 // allows two forms — delta-seconds ("3") and an HTTP-date ("Tue, 03 Jun
 // 2025 17:00:00 GMT") — and proxies rewrite one into the other, so the
 // client must honor both; a date in the past (or skewed clocks) yields
-// zero rather than a negative wait.
+// zero rather than a negative wait. A delta too large for a Duration
+// saturates at the longest one instead of wrapping.
 func parseRetryAfter(s string) time.Duration {
 	if s == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(s); err == nil {
-		if secs > 0 {
-			return time.Duration(secs) * time.Second
+	if secs, err := strconv.Atoi(s); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs <= 0:
+			return 0
+		case int64(secs) > int64(math.MaxInt64/time.Second):
+			return math.MaxInt64
 		}
-		return 0
+		return time.Duration(secs) * time.Second
 	}
 	if t, err := http.ParseTime(s); err == nil {
 		if d := time.Until(t); d > 0 {

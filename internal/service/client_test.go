@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +27,11 @@ func TestParseRetryAfter(t *testing.T) {
 		{"zero", "0", 0, 0},
 		{"negative", "-5", 0, 0},
 		{"garbage", "soon", 0, 0},
+		// Deltas past the longest Duration saturate instead of wrapping
+		// to a negative (ignored) or a short wait.
+		{"overflow to negative", "9223372037", math.MaxInt64, math.MaxInt64},
+		{"overflow to short", "18446744074", math.MaxInt64, math.MaxInt64},
+		{"past int64", "99999999999999999999999", math.MaxInt64, math.MaxInt64},
 		// The RFC 9110 HTTP-date form, which proxies and standard servers
 		// emit; it was silently dropped before the fix.
 		{"http date ahead", time.Now().Add(3 * time.Second).UTC().Format(http.TimeFormat),
@@ -40,6 +47,49 @@ func TestParseRetryAfter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseRetryAfter checks that no header value yields a negative
+// wait, and that among all-digit values a larger delta never waits less.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, s := range []string{"", "0", "3", "-5", "+7", "soon", "007",
+		"9223372036", "9223372037", "18446744074", "99999999999999999999999",
+		"Tue, 03 Jun 2025 17:00:00 GMT"} {
+		f.Add(s, "1")
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		da, db := parseRetryAfter(a), parseRetryAfter(b)
+		if da < 0 || db < 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, parseRetryAfter(%q) = %v; want >= 0", a, da, b, db)
+		}
+		if !allDigits(a) || !allDigits(b) {
+			return
+		}
+		if cmpDecimal(a, b) > 0 {
+			a, b, da, db = b, a, db, da
+		}
+		if da > db {
+			t.Fatalf("parseRetryAfter(%q) = %v > parseRetryAfter(%q) = %v", a, da, b, db)
+		}
+	})
+}
+
+func allDigits(s string) bool {
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// cmpDecimal compares two all-digit strings by numeric value.
+func cmpDecimal(a, b string) int {
+	a, b = strings.TrimLeft(a, "0"), strings.TrimLeft(b, "0")
+	if len(a) != len(b) {
+		return len(a) - len(b)
+	}
+	return strings.Compare(a, b)
 }
 
 func TestClientHonorsHTTPDateRetryAfter(t *testing.T) {

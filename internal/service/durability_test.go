@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,8 +18,7 @@ func TestOnResultHookFiresOncePerComputation(t *testing.T) {
 	var mu sync.Mutex
 	got := make(map[string]int)
 	m := stubManager(t, Options{
-		Workers:      1,
-		CacheEntries: 8,
+		Workers: 1,
 		OnResult: func(hash string, res sim.Result) {
 			if res.Timeline != nil || res.Mitigation != nil {
 				t.Errorf("OnResult saw an unstripped result for %s", hash)
@@ -61,7 +61,7 @@ func TestOnResultHookFiresOncePerComputation(t *testing.T) {
 // TestInsertCachedStripsAndServes verifies a pushed replica is stripped
 // like a local completion and answers CachedResult.
 func TestInsertCachedStripsAndServes(t *testing.T) {
-	m := stubManager(t, Options{Workers: 1, CacheEntries: 8},
+	m := stubManager(t, Options{Workers: 1},
 		func(_ context.Context, _ Spec, _ func(int64, int64)) (sim.Result, error) {
 			return sim.Result{}, nil
 		})
@@ -79,14 +79,15 @@ func TestInsertCachedStripsAndServes(t *testing.T) {
 }
 
 // TestDoneHashesAndResultByHash covers the repair loop's data source:
-// done jobs and cache-only entries, deduplicated, each resolvable.
+// computed results and received replicas, one entry per hash, sorted,
+// each resolvable.
 func TestDoneHashesAndResultByHash(t *testing.T) {
-	m := stubManager(t, Options{Workers: 1, CacheEntries: 8},
+	m := stubManager(t, Options{Workers: 1},
 		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
 			return sim.Result{IPC: float64(spec.Seed)}, nil
 		})
 	s1, s2 := uniqueSpec(1), uniqueSpec(2)
-	for _, s := range []Spec{s1, s2} {
+	for _, s := range []Spec{s1, s2, s1} {
 		j, err := m.Submit(s)
 		if err != nil {
 			t.Fatal(err)
@@ -96,44 +97,38 @@ func TestDoneHashesAndResultByHash(t *testing.T) {
 	m.InsertCached("replica-only", sim.Result{IPC: 9})
 
 	hashes := m.DoneHashes()
-	want := map[string]bool{s1.Hash(): true, s2.Hash(): true, "replica-only": true}
-	if len(hashes) != len(want) {
-		t.Fatalf("DoneHashes = %v, want the 3 of %v", hashes, want)
+	want := []string{s1.Hash(), s2.Hash(), "replica-only"}
+	slices.Sort(want)
+	if !slices.Equal(hashes, want) {
+		t.Fatalf("DoneHashes = %v, want %v", hashes, want)
 	}
 	for _, h := range hashes {
-		if !want[h] {
-			t.Fatalf("unexpected hash %s in %v", h, hashes)
-		}
-		if _, ok := m.ResultByHash(h); !ok {
-			t.Fatalf("ResultByHash(%s) missed", h)
+		if _, ok := m.CachedResult(h); !ok {
+			t.Fatalf("CachedResult(%s) missed", h)
 		}
 	}
-	if _, ok := m.ResultByHash("absent"); ok {
-		t.Fatalf("ResultByHash invented a result")
+	if _, ok := m.CachedResult("absent"); ok {
+		t.Fatalf("CachedResult invented a result")
 	}
 }
 
-// TestResultByHashSurvivesCacheEviction: a done job's result must stay
-// reachable for repair even after LRU pressure evicts its cache entry.
+// TestResultByHashSurvivesCacheEviction: a done job's result stays
+// reachable by hash however many results the node computes after it.
 func TestResultByHashSurvivesCacheEviction(t *testing.T) {
-	m := stubManager(t, Options{Workers: 1, CacheEntries: 1},
+	m := stubManager(t, Options{Workers: 1},
 		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
 			return sim.Result{IPC: float64(spec.Seed)}, nil
 		})
-	s1, s2 := uniqueSpec(1), uniqueSpec(2)
-	for _, s := range []Spec{s1, s2} {
-		j, err := m.Submit(s)
+	for seed := uint64(1); seed <= 301; seed++ {
+		j, err := m.Submit(uniqueSpec(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitDone(t, j)
 	}
-	if _, ok := m.CachedResult(s1.Hash()); ok {
-		t.Fatalf("s1 still cached; eviction did not happen")
-	}
-	res, ok := m.ResultByHash(s1.Hash())
+	res, ok := m.CachedResult(uniqueSpec(1).Hash())
 	if !ok {
-		t.Fatalf("evicted done job unreachable by hash")
+		t.Fatalf("first done job unreachable by hash after 300 more")
 	}
 	if res.IPC != 1 {
 		t.Fatalf("IPC = %v, want 1", res.IPC)
@@ -141,11 +136,10 @@ func TestResultByHashSurvivesCacheEviction(t *testing.T) {
 }
 
 // TestResultByHashSurvivesRemovalOfDuplicate: a cache-hit job shares
-// the computing job's hash; removing one of the duplicates must leave
-// the result reachable through the survivor even with the cache entry
-// evicted.
+// the computing job's hash; removing both job records must leave the
+// result in the store — it is still the right answer for the hash.
 func TestResultByHashSurvivesRemovalOfDuplicate(t *testing.T) {
-	m := stubManager(t, Options{Workers: 1, CacheEntries: 1},
+	m := stubManager(t, Options{Workers: 1},
 		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
 			return sim.Result{IPC: float64(spec.Seed)}, nil
 		})
@@ -163,18 +157,14 @@ func TestResultByHashSurvivesRemovalOfDuplicate(t *testing.T) {
 	if v := waitDone(t, j2); !v.CacheHit {
 		t.Fatalf("resubmission was not a cache hit: %+v", v)
 	}
-	// Evict s1's cache entry, then remove the duplicate job.
-	j3, err := m.Submit(uniqueSpec(2))
-	if err != nil {
-		t.Fatal(err)
+	for _, j := range []*Job{j2, j1} {
+		if err := m.Remove(j.ID()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitDone(t, j3)
-	if err := m.Remove(j2.ID()); err != nil {
-		t.Fatal(err)
-	}
-	res, ok := m.ResultByHash(s1.Hash())
+	res, ok := m.CachedResult(s1.Hash())
 	if !ok {
-		t.Fatalf("result lost after removing the duplicate job")
+		t.Fatalf("result lost after removing its job records")
 	}
 	if res.IPC != 1 {
 		t.Fatalf("IPC = %v, want 1", res.IPC)

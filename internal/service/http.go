@@ -262,7 +262,7 @@ func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeJSON(w, http.StatusAccepted, v)
 	case StateDone:
-		res, _ := j.Result()
+		res, _ := m.CachedResult(v.Hash)
 		writeJSON(w, http.StatusOK, ResultEnvelope{
 			ID: v.ID, Hash: v.Hash, CacheHit: v.CacheHit, Result: res,
 		})

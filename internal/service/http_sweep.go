@@ -153,7 +153,7 @@ func handleDeleteSweep(m *Manager, w http.ResponseWriter, r *http.Request) {
 // peer holds the replica) without resubmitting finished work.
 func handleResultByHash(m *Manager, w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	res, ok := m.ResultByHash(hash)
+	res, ok := m.CachedResult(hash)
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("service: no result for hash %s", hash))

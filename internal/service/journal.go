@@ -84,7 +84,7 @@ func acceptedRecord(j *Job) journalRecord {
 
 // terminalRecord builds the terminal line for j, whose mu the caller
 // holds, entering state. Results ride along for done jobs — replaying
-// them is what reconstitutes the result cache.
+// them is what reconstitutes the result store.
 func terminalRecord(j *Job, state State, errMsg string, finished time.Time, res *sim.Result) journalRecord {
 	rec := journalRecord{
 		Type:     recTerminal,
@@ -162,7 +162,7 @@ type ReplayedJob struct {
 // ReplayedSweep is one sweep parent reconstructed from the log. State
 // is StateQueued for sweeps with no terminal record — Restore re-expands
 // and resumes those, answering already-finished children from the
-// replayed result cache.
+// replayed result store.
 type ReplayedSweep struct {
 	ID        string
 	Seq       uint64
@@ -184,7 +184,7 @@ type Replayed struct {
 	Pending int
 	// PendingSweeps counts sweeps that will be resumed.
 	PendingSweeps int
-	// Results counts durable done-results (the cache snapshot).
+	// Results counts durable done-results (the result-store snapshot).
 	Results int
 	// Dropped counts unparseable lines (at most the torn final line of a
 	// crashed process, but any corruption is skipped, not fatal).
@@ -283,12 +283,16 @@ func replayJournal(path string) (*Replayed, error) {
 				Spec:  *rec.Spec,
 				State: StateQueued,
 			}
-			rj.Submitted, _ = time.Parse(time.RFC3339Nano, rec.Submitted)
+			rj.Submitted = parseStamp(rec.Submitted)
 			if _, dup := byID[rec.ID]; !dup {
 				order = append(order, rec.ID)
 			}
 			byID[rec.ID] = rj
 		case recTerminal:
+			if !rec.State.terminal() {
+				rep.Dropped++
+				continue
+			}
 			rj, ok := byID[rec.ID]
 			if !ok {
 				continue // e.g. a queue-full rejection; nothing was accepted
@@ -297,7 +301,7 @@ func replayJournal(path string) (*Replayed, error) {
 			rj.Error = rec.Error
 			rj.Attempts = rec.Attempts
 			rj.Result = rec.Result
-			rj.Finished, _ = time.Parse(time.RFC3339Nano, rec.Finished)
+			rj.Finished = parseStamp(rec.Finished)
 		case recRemoved:
 			if _, ok := byID[rec.ID]; ok {
 				delete(byID, rec.ID)
@@ -314,19 +318,23 @@ func replayJournal(path string) (*Replayed, error) {
 				Spec:  *rec.SweepSpec,
 				State: StateQueued,
 			}
-			rs.Submitted, _ = time.Parse(time.RFC3339Nano, rec.Submitted)
+			rs.Submitted = parseStamp(rec.Submitted)
 			if _, dup := sweepByID[rec.ID]; !dup {
 				sweepOrder = append(sweepOrder, rec.ID)
 			}
 			sweepByID[rec.ID] = rs
 		case recSweepTerminal:
+			if !rec.State.terminal() {
+				rep.Dropped++
+				continue
+			}
 			rs, ok := sweepByID[rec.ID]
 			if !ok {
 				continue
 			}
 			rs.State = rec.State
 			rs.Error = rec.Error
-			rs.Finished, _ = time.Parse(time.RFC3339Nano, rec.Finished)
+			rs.Finished = parseStamp(rec.Finished)
 		case recSweepRemoved:
 			delete(sweepByID, rec.ID)
 		default:
@@ -370,6 +378,17 @@ func replayJournal(path string) (*Replayed, error) {
 	}
 	rep.Sweeps = sweeps
 	return rep, nil
+}
+
+// parseStamp reads a record timestamp in UTC, the zone compaction
+// writes. An unparseable stamp, or one whose UTC form falls outside the
+// four-digit years RFC 3339 can write back, reads as the zero time.
+func parseStamp(s string) time.Time {
+	t, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil || t.UTC().Year() < 0 || t.UTC().Year() > 9999 {
+		return time.Time{}
+	}
+	return t.UTC()
 }
 
 // compactJournal rewrites the log to exactly the live records, via a
@@ -436,13 +455,14 @@ func compactJournal(path string, rep *Replayed) error {
 }
 
 // Restore loads a journal replay into the manager: terminal jobs come
-// back as inspectable records, done results warm the cache, and pending
-// jobs are re-enqueued under their original ids. Call it once, before
-// exposing the manager over HTTP, on a manager built with the matching
-// Options.Journal. Pending jobs whose spec no longer validates or no
-// longer hashes to the recorded hash (a journal from an older build,
-// hand edits) are marked failed rather than replayed forever or under
-// the wrong address.
+// back as inspectable records, done results fill the result store, and
+// pending jobs are re-enqueued under their original ids. Call it once,
+// before exposing the manager over HTTP, on a manager built with the
+// matching Options.Journal. Pending jobs whose spec no longer validates
+// or no longer hashes to the recorded hash (a journal from an older
+// build, hand edits) are marked failed rather than replayed forever or
+// under the wrong address, and so is a done job whose record carries no
+// result.
 func (m *Manager) Restore(rep *Replayed) error {
 	if rep == nil {
 		return nil
@@ -496,14 +516,17 @@ func (m *Manager) Restore(rep *Replayed) error {
 		m.met.Inc("rrs_jobs_restored_total", 1)
 
 		if rj.State.terminal() {
-			if rj.State == StateDone && rj.Result != nil {
-				res := *rj.Result
-				j.result = &res
+			switch {
+			case rj.State != StateDone:
+			case rj.Result != nil:
+				m.store(j.hash, *rj.Result)
 				j.progress = 1
-				m.cache.Put(j.hash, res)
-				m.mu.Lock()
-				m.doneByHash[j.hash] = j
-				m.mu.Unlock()
+			default:
+				// Only a damaged log holds a done record with no result; a
+				// done job must resolve through the store, so it comes back
+				// failed instead.
+				j.state = StateFailed
+				j.err = "journal replay: done record carries no result"
 			}
 			close(j.done)
 			continue
@@ -535,7 +558,7 @@ func (m *Manager) Restore(rep *Replayed) error {
 		}
 		requeued[j.hash] = j
 	}
-	// Sweeps restore after jobs so the replayed result cache and the
+	// Sweeps restore after jobs so the replayed result store and the
 	// re-enqueued pending children are in place: a resumed sweep's feeder
 	// links the replayed jobs instead of duplicating them, and completed
 	// children come back as cache hits.

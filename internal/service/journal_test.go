@@ -90,7 +90,7 @@ func TestJournalDoneJobsSurviveRestart(t *testing.T) {
 		if v.State != StateDone {
 			t.Fatalf("restored job %s state = %s", id, v.State)
 		}
-		res, ok := job.Result()
+		res, ok := m2.CachedResult(job.Hash())
 		if !ok || res.IPC != float64(specs[i].Seed) {
 			t.Fatalf("restored job %s result = (%+v, %v)", id, res, ok)
 		}
@@ -152,7 +152,7 @@ func TestJournalPendingJobsReenqueuedAfterCrash(t *testing.T) {
 		if v.State != StateDone || v.ID != id {
 			t.Fatalf("replayed job = %+v, want done under original id %s", v, id)
 		}
-		res, _ := job.Result()
+		res, _ := m2.CachedResult(job.Hash())
 		if res.IPC != float64(i+1) {
 			t.Fatalf("replayed job %s IPC = %v, want %d", id, res.IPC, i+1)
 		}
@@ -500,7 +500,7 @@ func TestJournalReplayOfRemovedWorkersField(t *testing.T) {
 	if v := job("job-000001"); v.State != StateDone {
 		t.Errorf("terminal workers job restored as %s, want done", v.State)
 	}
-	if res, ok := m.ResultByHash(parDoneHash); !ok || res.IPC != 7 {
+	if res, ok := m.CachedResult(parDoneHash); !ok || res.IPC != 7 {
 		t.Errorf("terminal result by its recorded hash = %+v, %v; want IPC 7", res, ok)
 	}
 	if v := job("job-000002"); v.State != StateFailed ||

@@ -54,7 +54,6 @@ type Job struct {
 	child    bool // expanded from a sweep: runs through Options.RunChild
 	attempts int  // completed run attempts (retries = attempts - 1)
 	err      string
-	result   *sim.Result
 	// finishing marks a claimed terminal transition whose record is
 	// still being journaled. It bars every other transition; readers
 	// keep seeing the old state until finish publishes the new one.
@@ -76,17 +75,6 @@ func (j *Job) Hash() string { return j.hash }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Result returns the finished result. ok is false unless the job is
-// done.
-func (j *Job) Result() (sim.Result, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.result == nil {
-		return sim.Result{}, false
-	}
-	return *j.result, true
-}
 
 // JobView is the JSON projection of a job.
 type JobView struct {
@@ -171,9 +159,6 @@ type Options struct {
 	// QueueDepth bounds the backlog of accepted-but-unstarted jobs
 	// (default 64); past it, Submit fails fast with ErrQueueFull.
 	QueueDepth int
-	// CacheEntries bounds the content-addressed result cache (default
-	// 256; 0 keeps the default, negative disables caching).
-	CacheEntries int
 	// DefaultTimeout bounds each job's run unless its spec says
 	// otherwise (0 = no limit).
 	DefaultTimeout time.Duration
@@ -216,7 +201,7 @@ type Options struct {
 	RunChild RunFunc
 	// OnResult, when non-nil, observes every result this manager computes
 	// (or accepts as a work-stealing donation) the moment it enters the
-	// result cache, already Timeline- and Mitigation-stripped — exactly
+	// result store, already Timeline- and Mitigation-stripped — exactly
 	// the bytes a peer's cache lookup would see. The fleet layer hooks
 	// result replication here. It is called from worker goroutines and
 	// must not block; it is NOT called for cache hits, journal replays, or
@@ -227,20 +212,27 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// Manager owns the queue, worker pool, job table and result cache.
+// Manager owns the queue, worker pool, job table and result store.
 type Manager struct {
 	opts  Options
 	queue *fifo
-	cache *resultCache
 	met   *Metrics
 
-	mu         sync.Mutex
-	jobs       map[string]*Job
-	inflight   map[string]*Job // hash → queued/running job, for submit coalescing
-	doneByHash map[string]*Job // hash → done job holding a result, for ResultByHash
-	seq        uint64
-	closed     bool
-	draining   bool // drain mode: intake refused, cancellations journal-requeue
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	inflight map[string]*Job // hash → queued/running job, for submit coalescing
+	seq      uint64
+	closed   bool
+	draining bool // drain mode: intake refused, cancellations journal-requeue
+
+	// results is the node's one result store, keyed by spec content
+	// hash: every result this node computed, accepted as a donation,
+	// replayed from its journal or received as a replica. Nothing is
+	// evicted — an entry is about the size of the job record that comes
+	// with it, and the engine is deterministic, so an entry never goes
+	// stale (Remove leaves it in place).
+	resMu   sync.RWMutex
+	results map[string]sim.Result
 
 	// Sweep orchestration state: the tracked sweeps, the hash →
 	// running-sweep coalescing index, and the id sequence. Each running
@@ -288,12 +280,6 @@ func NewManager(opts Options) *Manager {
 		opts.QueueDepth = 64
 	}
 	switch {
-	case opts.CacheEntries == 0:
-		opts.CacheEntries = 256
-	case opts.CacheEntries < 0:
-		opts.CacheEntries = 0
-	}
-	switch {
 	case opts.JobRetries == 0:
 		opts.JobRetries = 2
 	case opts.JobRetries < 0:
@@ -305,11 +291,10 @@ func NewManager(opts Options) *Manager {
 	m := &Manager{
 		opts:          opts,
 		queue:         newFIFO(opts.QueueDepth),
-		cache:         newResultCache(opts.CacheEntries),
 		met:           opts.Metrics,
 		jobs:          make(map[string]*Job),
 		inflight:      make(map[string]*Job),
-		doneByHash:    make(map[string]*Job),
+		results:       make(map[string]sim.Result),
 		sweeps:        make(map[string]*Sweep),
 		sweepInflight: make(map[string]*Sweep),
 		runJob:        RunSpec,
@@ -330,7 +315,7 @@ func NewManager(opts Options) *Manager {
 // Every run carries a histogram-only recorder (RingSize < 0 disables the
 // per-event ring): the manager folds the occupancy/stall aggregates into
 // its Prometheus registry and strips the timeline before the result is
-// cached, so client payloads and the content-addressed cache are
+// stored, so client payloads and the content-addressed store are
 // byte-identical to an unobserved run. Exported so wrappers around
 // Options.Run (the fleet's cache fan-out, chaos injectors) can fall
 // through to the built-in engine.
@@ -356,7 +341,7 @@ func (m *Manager) registerMetrics() {
 		"rrs_jobs_requeued_total":         "Jobs whose terminal record was withheld during a drain so a restart's journal replay re-enqueues them.",
 		"rrs_jobs_coalesced_total":        "Submissions answered by an already queued or running job with the same spec hash.",
 		"rrs_jobs_restored_total":         "Jobs restored from the journal at startup (pending re-enqueues plus terminal records).",
-		"rrs_cache_hits_total":            "Submissions answered from the result cache.",
+		"rrs_cache_hits_total":            "Submissions answered from the result store.",
 		"rrs_cache_misses_total":          "Submissions that required a simulation.",
 		"rrs_runs_started_total":          "Simulations handed to a worker.",
 		"rrs_job_retries_total":           "Automatic re-runs of jobs whose run failed transiently.",
@@ -390,8 +375,12 @@ func (m *Manager) registerMetrics() {
 			defer m.mu.Unlock()
 			return float64(m.busy) / float64(m.opts.Workers)
 		})
-	m.met.Gauge("rrs_cache_entries", "Results currently cached.",
-		func() float64 { return float64(m.cache.Len()) })
+	m.met.Gauge("rrs_cache_entries", "Results held in the node's result store.",
+		func() float64 {
+			m.resMu.RLock()
+			defer m.resMu.RUnlock()
+			return float64(len(m.results))
+		})
 	m.registerSweepMetrics()
 	for _, s := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
 		state := s
@@ -426,7 +415,7 @@ func (m *Manager) registerMetrics() {
 // foldTimeline absorbs a finished run's observability aggregates into
 // the registry — counters accumulate across runs, the last-run gauges
 // are replaced — so the timeline itself can be dropped before the
-// result enters the cache and the job table.
+// result enters the result store.
 func (m *Manager) foldTimeline(tl *obs.Timeline) {
 	if tl == nil { // stubbed RunFunc, or a future events-off path
 		return
@@ -494,7 +483,7 @@ func (m *Manager) journal(rec journalRecord) {
 }
 
 // Submit validates, hashes and enqueues spec. A cache hit returns a job
-// already in StateDone carrying the cached result; a hash equal to a
+// born in StateDone, its result already in the store; a hash equal to a
 // queued or running job's coalesces onto that job (which is what makes a
 // client's retried POST after a dropped response idempotent); otherwise
 // the job is queued FIFO. ErrQueueFull and ErrClosed report backpressure
@@ -552,20 +541,18 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 
 	m.met.Inc("rrs_jobs_submitted_total", 1)
 
-	if res, ok := m.cache.Get(j.hash); ok {
+	if _, ok := m.CachedResult(j.hash); ok {
 		m.met.Inc("rrs_cache_hits_total", 1)
 		m.met.Inc("rrs_jobs_done_total", 1)
 		j.state = StateDone
 		j.cacheHit = true
 		j.progress = 1
-		j.result = &res
 		j.finished = time.Now()
 		close(j.done)
 		// Cache-hit jobs are not journaled: their result is already
 		// durable under the record of the job that computed it.
 		m.mu.Lock()
 		m.jobs[j.id] = j
-		m.doneByHash[j.hash] = j
 		m.mu.Unlock()
 		return j, false, nil
 	}
@@ -682,7 +669,8 @@ func (m *Manager) Cancel(id string) (ok bool, err error) {
 }
 
 // Remove deletes a terminal job's record (and is how clients acknowledge
-// failures). Active jobs must be cancelled first.
+// failures). Active jobs must be cancelled first. A done job's result
+// stays in the store: it is still the right answer for its hash.
 func (m *Manager) Remove(id string) error {
 	j, found := m.Get(id)
 	if !found {
@@ -696,31 +684,7 @@ func (m *Manager) Remove(id string) error {
 	}
 	m.mu.Lock()
 	delete(m.jobs, id)
-	repoint := m.doneByHash[j.hash] == j
-	var sameHash []*Job
-	if repoint {
-		// Duplicate-hash done jobs exist (a cache-hit job shares the
-		// computing job's hash); keep one of the survivors indexed so
-		// ResultByHash still finds the result after this removal.
-		delete(m.doneByHash, j.hash)
-		for _, o := range m.jobs {
-			if o.hash == j.hash {
-				sameHash = append(sameHash, o)
-			}
-		}
-	}
 	m.mu.Unlock()
-	for _, o := range sameHash {
-		o.mu.Lock()
-		done := o.state == StateDone && o.result != nil
-		o.mu.Unlock()
-		if done {
-			m.mu.Lock()
-			m.doneByHash[j.hash] = o
-			m.mu.Unlock()
-			break
-		}
-	}
 	m.journal(journalRecord{Type: recRemoved, ID: id})
 	return nil
 }
@@ -741,7 +705,7 @@ func (m *Manager) RunSync(ctx context.Context, spec Spec) (sim.Result, error) {
 		select {
 		case <-j.Done():
 			if v := j.Snapshot(); v.State == StateDone {
-				res, _ := j.Result()
+				res, _ := m.CachedResult(j.hash)
 				return res, nil
 			}
 		default:
@@ -752,7 +716,7 @@ func (m *Manager) RunSync(ctx context.Context, spec Spec) (sim.Result, error) {
 	if v.State != StateDone {
 		return sim.Result{}, fmt.Errorf("service: job %s %s: %s", j.ID(), v.State, v.Error)
 	}
-	res, _ := j.Result()
+	res, _ := m.CachedResult(j.hash)
 	return res, nil
 }
 
@@ -844,15 +808,17 @@ func (m *Manager) runOne(j *Job) {
 	switch {
 	case err == nil:
 		// Drop the live hardware model before the result outlives the
-		// run in the cache and job table, and fold the observability
+		// run in the result store, and fold the observability
 		// aggregates into the metrics registry so the cached result is
 		// identical to an unobserved run's.
 		res.Mitigation = nil
 		m.foldTimeline(res.Timeline)
 		res.Timeline = nil
 		start := j.started
-		m.finish(j, StateDone, "", &res)
+		// Counted before finish publishes the job: a waiter woken by
+		// done must already see it in rrs_jobs_done_total.
 		m.met.Inc("rrs_jobs_done_total", 1)
+		m.finish(j, StateDone, "", &res)
 		m.met.ObserveLatency(time.Since(start).Seconds())
 	case errors.Is(err, context.Canceled):
 		m.finish(j, StateCancelled, "cancelled by request")
@@ -908,7 +874,7 @@ func (m *Manager) retire(j *Job) {
 }
 
 // finish moves j to a terminal state exactly once. A done job's result
-// enters the result cache (and reaches Options.OnResult) here.
+// enters the result store (and reaches Options.OnResult) here.
 func (m *Manager) finish(j *Job, state State, errMsg string, result ...*sim.Result) {
 	m.mu.Lock()
 	draining := m.draining
@@ -937,10 +903,11 @@ func (m *Manager) finish(j *Job, state State, errMsg string, result ...*sim.Resu
 // settle completes the terminal transition the caller claimed by
 // setting j.finishing under j.mu, which settle releases. The record is
 // built under j.mu and journaled (when journal is set) without it, so
-// polls of the job do not wait on the disk; the new state, the cached
-// result and the closed done channel are published only after the
-// append returns, so nothing reports a job done before its terminal
-// record is durable.
+// polls of the job do not wait on the disk; the result, the new state
+// and the closed done channel are published only after the append
+// returns, so nothing reports a job done before its terminal record is
+// durable. The result is stored before the state flips, so no reader
+// sees a done job whose result the store does not hold.
 func (m *Manager) settle(j *Job, state State, errMsg string, res *sim.Result, journal bool) {
 	j.cancel = nil
 	finished := time.Now()
@@ -949,27 +916,21 @@ func (m *Manager) settle(j *Job, state State, errMsg string, res *sim.Result, jo
 	if journal {
 		m.journal(rec)
 	}
+	if res != nil {
+		m.store(j.hash, *res)
+	}
 	j.mu.Lock()
 	j.state = state
 	j.err = errMsg
 	j.finished = finished
 	if state == StateDone {
 		j.progress = 1
-		j.result = res
 	}
 	j.mu.Unlock()
-	if res != nil {
-		m.cache.Put(j.hash, *res)
-		if m.opts.OnResult != nil {
-			m.opts.OnResult(j.hash, *res)
-		}
+	if res != nil && m.opts.OnResult != nil {
+		m.opts.OnResult(j.hash, *res)
 	}
 	m.retire(j)
-	if res != nil {
-		m.mu.Lock()
-		m.doneByHash[j.hash] = j
-		m.mu.Unlock()
-	}
 	close(j.done)
 }
 
@@ -1004,10 +965,23 @@ func (m *Manager) Load() (backlog, busy, workers int) {
 }
 
 // CachedResult answers a content-hash lookup from the local result
-// cache — the building block of fleet-wide cache hits: before running a
-// job, a peer asks the rest of the fleet for the hash first.
+// store. It is the one read path for results: job and sweep result
+// fetches, submit's cache-hit check, and the fleet's fan-out lookups,
+// replica checks and repair all go through it.
 func (m *Manager) CachedResult(hash string) (sim.Result, bool) {
-	return m.cache.Get(hash)
+	m.resMu.RLock()
+	defer m.resMu.RUnlock()
+	res, ok := m.results[hash]
+	return res, ok
+}
+
+// store is the one write path for results: settle (local runs and
+// steal donations), Restore (journal replay) and InsertCached
+// (replicas).
+func (m *Manager) store(hash string, res sim.Result) {
+	m.resMu.Lock()
+	m.results[hash] = res
+	m.resMu.Unlock()
 }
 
 // active counts jobs not yet in a terminal state.
@@ -1147,65 +1121,30 @@ func (m *Manager) CompleteExternal(j *Job, res sim.Result) bool {
 	return true
 }
 
-// InsertCached stores an externally computed result in the result cache
-// with no job record — the receive path of fleet result replication. The
-// same stripping as local completion keeps every cached payload
-// byte-identical regardless of which node computed it. OnResult is
-// deliberately not invoked: a received replica must not fan back out.
+// InsertCached stores an externally computed result with no job record
+// — the receive path of fleet result replication. The same stripping as
+// local completion keeps every stored payload byte-identical regardless
+// of which node computed it. OnResult is deliberately not invoked: a
+// received replica must not fan back out.
 func (m *Manager) InsertCached(hash string, res sim.Result) {
 	res.Mitigation = nil
 	res.Timeline = nil
-	m.cache.Put(hash, res)
+	m.store(hash, res)
 }
 
-// DoneHashes returns every content hash this node durably holds a result
-// for: done jobs (journal-backed, in submission order) followed by
-// cache-only entries (received replicas, fan-out adoptions), deduplicated.
-// The fleet's anti-entropy repair loop walks this set to verify each
-// result still has its ring replica.
+// DoneHashes returns every content hash this node holds a result for —
+// computed, replayed or received — sorted, so the fleet's anti-entropy
+// repair loop walks a stable order as it verifies each result still has
+// its ring replica.
 func (m *Manager) DoneHashes() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, j := range m.List() {
-		j.mu.Lock()
-		done := j.state == StateDone && j.result != nil
-		h := j.hash
-		j.mu.Unlock()
-		if done && !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
+	m.resMu.RLock()
+	out := make([]string, 0, len(m.results))
+	for h := range m.results {
+		out = append(out, h)
 	}
-	for _, h := range m.cache.Keys() {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
-	}
+	m.resMu.RUnlock()
+	sort.Strings(out)
 	return out
-}
-
-// ResultByHash returns a held result by content hash, consulting the
-// cache first and falling back to the done-job index — a done job's
-// result can outlive its cache entry under LRU pressure, and the repair
-// loop (and sweep aggregation, once per unlinked child per poll) must
-// still find it without scanning the whole job table.
-func (m *Manager) ResultByHash(hash string) (sim.Result, bool) {
-	if res, ok := m.cache.Get(hash); ok {
-		return res, true
-	}
-	m.mu.Lock()
-	j := m.doneByHash[hash]
-	m.mu.Unlock()
-	if j == nil {
-		return sim.Result{}, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StateDone && j.result != nil {
-		return *j.result, true
-	}
-	return sim.Result{}, false
 }
 
 // Shutdown stops intake, cancels the backlog, and waits for running

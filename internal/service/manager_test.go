@@ -302,8 +302,8 @@ func TestCacheDeterminism(t *testing.T) {
 		t.Fatalf("second run state=%s cacheHit=%v, want instant cache hit", v2.State, v2.CacheHit)
 	}
 
-	r1, _ := j1.Result()
-	r2, _ := j2.Result()
+	r1, _ := m.CachedResult(j1.Hash())
+	r2, _ := m.CachedResult(j2.Hash())
 	if r1.IPC != r2.IPC || r1.Instructions != r2.Instructions ||
 		r1.Accesses != r2.Accesses || r1.Cycles != r2.Cycles ||
 		r1.MemStats != r2.MemStats || r1.SwapsPerEpoch != r2.SwapsPerEpoch {

@@ -47,7 +47,7 @@ func TestFoldTimelineIntoMetrics(t *testing.T) {
 		t.Fatalf("state = %s (%s)", v.State, v.Error)
 	}
 
-	res, ok := j.Result()
+	res, ok := m.CachedResult(j.Hash())
 	if !ok {
 		t.Fatal("no result")
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -119,48 +118,11 @@ func TestCancelRemoveRaceManager(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentEviction drives the LRU result cache from many
-// goroutines with a working set larger than its capacity, so every Put
-// races eviction against Gets promoting entries. Under -race this
-// verifies the mutex covers the list+map pair; the posterior checks
-// verify capacity is never exceeded and hits return the value stored
-// under that key.
-func TestCacheConcurrentEviction(t *testing.T) {
-	const capacity = 4
-	c := newResultCache(capacity)
-	keys := make([]string, 32)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%02d", i)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := (g*7 + i) % len(keys)
-				if i%3 == 0 {
-					c.Put(keys[k], sim.Result{Accesses: int64(k)})
-				} else if res, ok := c.Get(keys[k]); ok && res.Accesses != int64(k) {
-					t.Errorf("cache returned Accesses=%d under %s", res.Accesses, keys[k])
-				}
-				if n := c.Len(); n > capacity {
-					t.Errorf("cache holds %d entries; capacity %d", n, capacity)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := c.Len(); n > capacity {
-		t.Fatalf("cache holds %d entries after storm; capacity %d", n, capacity)
-	}
-}
-
-// TestCacheEvictionUnderConcurrentSubmit runs the full submit path with
-// a tiny cache so completions evict each other while cache-hit submits
-// read concurrently.
-func TestCacheEvictionUnderConcurrentSubmit(t *testing.T) {
-	m := stubManager(t, Options{Workers: 4, QueueDepth: 128, CacheEntries: 2},
+// TestConcurrentSubmitsAndCacheHits runs the full submit path from
+// several goroutines over a small set of specs, so completions write
+// the result store while cache-hit submits read it concurrently.
+func TestConcurrentSubmitsAndCacheHits(t *testing.T) {
+	m := stubManager(t, Options{Workers: 4, QueueDepth: 128},
 		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
 			return sim.Result{IPC: float64(spec.Seed)}, nil
 		})
@@ -178,6 +140,9 @@ func TestCacheEvictionUnderConcurrentSubmit(t *testing.T) {
 				v := waitDone(t, j)
 				if v.State != StateDone {
 					t.Errorf("job %s state %s: %s", v.ID, v.State, v.Error)
+				}
+				if res, _ := m.CachedResult(j.Hash()); res.IPC != float64(i%6+1) {
+					t.Errorf("job %s IPC = %v, want %d", v.ID, res.IPC, i%6+1)
 				}
 			}
 		}(g)

@@ -1,6 +1,6 @@
 // Package service turns the one-shot simulation engine into a serving
 // subsystem: a job manager with a bounded FIFO queue and a worker pool, a
-// content-addressed result cache keyed by a canonical hash of the job
+// content-addressed result store keyed by a canonical hash of the job
 // spec, per-job lifecycle state with progress and cancellation, and an
 // in-process metrics registry exported as JSON and Prometheus text. The
 // cmd/rrs-serve binary exposes it over HTTP; cmd/rrs-experiments can

@@ -17,7 +17,7 @@ import (
 // names a base job plus axes over Spec fields (mitigation, tracker
 // size, workloads, seeds, thresholds), and the manager expands it into
 // child jobs deduplicated by content hash. Children are ordinary jobs —
-// they coalesce with concurrent submissions, hit the result cache, are
+// they coalesce with concurrent submissions, hit the result store, are
 // journaled, and (under internal/fleet) route to their ring owner by
 // their own hash — so resubmitting a finished sweep is answered almost
 // entirely from cache, and a kill -9 mid-sweep resumes from the
@@ -209,7 +209,7 @@ type Sweep struct {
 	state     State
 	err       string
 	cancelled bool
-	cacheHits int // children answered from the result cache at link time
+	cacheHits int // children answered from the result store at link time
 
 	submitted time.Time
 	finished  time.Time
@@ -271,7 +271,7 @@ type SweepView struct {
 	Cancelled int `json:"cancelled,omitempty"`
 	Running   int `json:"running,omitempty"`
 	Queued    int `json:"queued,omitempty"`
-	// CacheHits counts children answered from the result cache the
+	// CacheHits counts children answered from the result store the
 	// moment they were submitted — the "re-runs are nearly free" number.
 	CacheHits int `json:"cache_hits"`
 	// Progress is mean child progress in [0,1].
@@ -320,9 +320,9 @@ func (m *Manager) snapshotSweep(s *Sweep, withChildren bool) SweepView {
 			cv.ID, cv.State, cv.Progress = jv.ID, jv.State, jv.Progress
 			cv.CacheHit, cv.Error = jv.CacheHit, jv.Error
 			if jv.State == StateDone {
-				res, haveRes = children[i].Result()
+				res, haveRes = m.CachedResult(h)
 			}
-		} else if r, ok := m.ResultByHash(h); ok {
+		} else if r, ok := m.CachedResult(h); ok {
 			// Not linked (yet), but the result is already held — a
 			// restored sweep's durable child, or a concurrent submitter's.
 			cv.State, cv.Progress, cv.CacheHit = StateDone, 1, true
@@ -390,7 +390,7 @@ func (m *Manager) registerSweepMetrics() {
 		"rrs_sweeps_cancelled_total":         "Sweeps cancelled before completing.",
 		"rrs_sweeps_restored_total":          "Sweeps reconstructed from the journal at startup.",
 		"rrs_sweep_children_total":           "Child jobs expanded from accepted sweeps (after hash dedup).",
-		"rrs_sweep_children_cached_total":    "Sweep children answered from the result cache at submission.",
+		"rrs_sweep_children_cached_total":    "Sweep children answered from the result store at submission.",
 		"rrs_sweep_children_coalesced_total": "Sweep children answered by an already queued or running job.",
 	} {
 		m.met.Counter(name, help)
@@ -410,7 +410,7 @@ func (m *Manager) registerSweepMetrics() {
 // sweep's coalesces onto it (created=false) — the retried-POST
 // idempotency children already have, lifted to the parent. A hash equal
 // to a finished sweep's starts a new sweep whose children are answered
-// from the result cache.
+// from the result store.
 func (m *Manager) SubmitSweep(ss SweepSpec) (sw *Sweep, created bool, err error) {
 	if m.opts.ForceParanoid {
 		ss.Base.Paranoid = true
@@ -688,7 +688,7 @@ func (m *Manager) SweepResults(sw *Sweep) map[string]sim.Result {
 	sw.mu.Unlock()
 	out := make(map[string]sim.Result, len(hashes))
 	for _, h := range hashes {
-		if res, ok := m.ResultByHash(h); ok {
+		if res, ok := m.CachedResult(h); ok {
 			out[h] = res
 		}
 	}
@@ -699,7 +699,7 @@ func (m *Manager) SweepResults(sw *Sweep) map[string]sim.Result {
 // come back as static records; pending ones re-expand and resume (or
 // fail, if their spec no longer hashes to the recorded hash) —
 // children that finished before the crash are answered from the
-// replayed result cache (cache hits), only unfinished ones run, as the
+// replayed result store (cache hits), only unfinished ones run, as the
 // jobs Restore re-enqueued (requeued, by hash).
 func (m *Manager) restoreSweep(rs *ReplayedSweep, requeued map[string]*Job) error {
 	specs, err := rs.Spec.Expand()

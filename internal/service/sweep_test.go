@@ -125,7 +125,7 @@ func TestSweepPointsSaturatesOnOverflow(t *testing.T) {
 // the feeder links a child the cancel snapshot missed and nobody
 // cancels it, the watcher — and this test — hangs on that child.
 func TestCancelSweepNeverLeavesAnUncancelledChild(t *testing.T) {
-	m := stubManager(t, Options{Workers: 2, CacheEntries: -1},
+	m := stubManager(t, Options{Workers: 2},
 		func(ctx context.Context, _ Spec, _ func(int64, int64)) (sim.Result, error) {
 			<-ctx.Done()
 			return sim.Result{}, ctx.Err()
@@ -217,6 +217,48 @@ func TestSweepRunsAggregatesAndCachesResubmission(t *testing.T) {
 	// Aggregates over cached results are bit-identical to the first run.
 	if !reflect.DeepEqual(v.Stats, v2.Stats) {
 		t.Errorf("cached aggregate drifted:\nfirst  %+v\nsecond %+v", v.Stats, v2.Stats)
+	}
+}
+
+// TestLargeSweepResubmitRunsNothing resubmits a finished 280-child
+// sweep, children in order, under default Options: every child is
+// answered from the result store, so nothing re-runs and the results
+// are bit-identical to the first pass.
+func TestLargeSweepResubmitRunsNothing(t *testing.T) {
+	const n = 280
+	m := stubManager(t, Options{},
+		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
+			return sim.Result{IPC: float64(spec.Seed), Accesses: int64(spec.Seed)}, nil
+		})
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	ss := sweepOf(seeds...)
+
+	sw, _, err := m.SubmitSweep(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitSweep(t, m, sw); v.State != StateDone || v.Done != n {
+		t.Fatalf("first pass = state %s, %d/%d done", v.State, v.Done, v.Total)
+	}
+	first := m.SweepResults(sw)
+	runs := counter(m, "rrs_runs_started_total")
+
+	sw2, _, err := m.SubmitSweep(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := waitSweep(t, m, sw2)
+	if v2.State != StateDone || v2.CacheHits != n {
+		t.Fatalf("resubmission = state %s, %d cache hits, want done/%d", v2.State, v2.CacheHits, n)
+	}
+	if got := counter(m, "rrs_runs_started_total") - runs; got != 0 {
+		t.Errorf("resubmission started %d runs, want 0", got)
+	}
+	if again := m.SweepResults(sw2); len(first) != n || !reflect.DeepEqual(first, again) {
+		t.Errorf("resubmitted results differ from the first pass (%d vs %d)", len(again), len(first))
 	}
 }
 
