@@ -75,8 +75,10 @@ loadgen-smoke:
 # fuzz hammers the spec and sweep decode/normalize/hash pipelines
 # briefly, then the Retry-After parser and journal replay (never a
 # panic, compaction a fixed point, every replayed done job resolvable
-# in the result store), then cross-checks the table-driven PRINCE
-# against its reference core under fuzzed keys. A sweep input can expand
+# in the result store), then the fleet's membership merge (the same
+# table in any order or grouping, a re-merge changes nothing), then
+# cross-checks the table-driven PRINCE against its reference core
+# under fuzzed keys. A sweep input can expand
 # to 4096 children (~0.15 s per run), so minimizing one with the default
 # 60 s budget would eat the whole sweep fuzz window; it is capped at 50
 # runs.
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSweepSpecDecode -fuzztime 20s -fuzzminimizetime 50x ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzParseRetryAfter -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s -fuzzminimizetime 50x ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzMembershipMerge -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzCipherMatchesReference -fuzztime 10s ./internal/prince/
 
 # serve starts the simulation job service on :8080.
@@ -92,10 +95,11 @@ serve:
 	$(GO) run ./cmd/rrs-serve
 
 # bench runs the pinned performance-trajectory set (cmd/rrs-bench):
-# representative sims plus hot-path microbenchmarks, drift-checked
-# against cmd/rrs-bench/pins.json and written to BENCH_PR7.json (the
-# committed baseline bench-guard compares against; re-run and commit it
-# when the benchmark machine changes).
+# representative sims, drift-checked against cmd/rrs-bench/pins.json
+# and written to BENCH_PR7.json (the committed baseline bench-guard
+# compares against; re-run and commit it when the benchmark machine
+# changes). The hot-path micro-benchmarks are package benchmarks:
+# go test -bench . ./internal/dram ./internal/memctrl ./internal/tracker ./internal/rit
 bench:
 	$(GO) run ./cmd/rrs-bench -pins cmd/rrs-bench/pins.json -out BENCH_PR7.json
 

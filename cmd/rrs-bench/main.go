@@ -1,8 +1,7 @@
 // Command rrs-bench records the repository's performance trajectory. It
 // runs a pinned set of representative simulations (baseline, RRS and
-// BlockHammer at fixed seeds, scales and budgets) plus microbenchmarks of
-// the per-access hot path (DRAM activate/content, tracker observe, RIT
-// remap, full controller access), and emits a JSON report:
+// BlockHammer at fixed seeds, scales and budgets) and emits a JSON
+// report:
 //
 //	rrs-bench -out BENCH_PR2.json                 # full set
 //	rrs-bench -quick                              # CI smoke subset
@@ -12,14 +11,15 @@
 // The profile flags capture the benchmark run itself (`make profile`
 // wraps them): inspect with `go tool pprof cpu.pprof`.
 //
-// The report carries ns/op and allocs/op for the microbenchmarks and
-// wall-clock throughput (simulated cycles per second, accesses per
-// second) plus the paper-figure statistics (IPC, MPKI, hot rows, swaps)
-// for each pinned simulation. Statistics are checked against the pins
-// file (-pins): the engine is deterministic, so any drift — even in the
-// last bit of a float — means behaviour changed, and rrs-bench exits
-// non-zero. Regenerate pins with -write-pins only alongside an
-// intentional behavioural change.
+// The report carries wall-clock throughput (simulated cycles per second,
+// accesses per second) plus the paper-figure statistics (IPC, MPKI, hot
+// rows, swaps) for each pinned simulation. The per-access hot path has
+// package benchmarks instead (go test -bench . ./internal/dram
+// ./internal/memctrl ./internal/tracker ./internal/rit). Statistics are
+// checked against the pins file (-pins): the engine is deterministic, so
+// any drift — even in the last bit of a float — means behaviour changed,
+// and rrs-bench exits non-zero. Regenerate pins with -write-pins only
+// alongside an intentional behavioural change.
 package main
 
 import (
@@ -30,17 +30,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"testing"
 	"time"
 
-	"repro/internal/cat"
-	"repro/internal/config"
-	"repro/internal/dram"
-	"repro/internal/memctrl"
-	"repro/internal/rit"
 	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/tracker"
 )
 
 // benchSeed pins every randomized component of the benchmark set.
@@ -94,19 +87,11 @@ type simReport struct {
 	Stats           simStats     `json:"stats"`
 }
 
-type microReport struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
 type report struct {
-	Tool      string        `json:"tool"`
-	GoVersion string        `json:"go_version"`
-	Mode      string        `json:"mode"`
-	Sims      []simReport   `json:"sims"`
-	Micro     []microReport `json:"micro"`
+	Tool      string      `json:"tool"`
+	GoVersion string      `json:"go_version"`
+	Mode      string      `json:"mode"`
+	Sims      []simReport `json:"sims"`
 	// Baseline summarizes the prior report -baseline pointed at;
 	// SpeedupVsBaseline is the geometric mean of per-sim
 	// sim_cycles_per_sec ratios against it.
@@ -165,21 +150,8 @@ func main() {
 		rep.Sims = append(rep.Sims, r)
 	}
 
-	for _, m := range microBenches() {
-		fmt.Fprintf(os.Stderr, "micro %-22s", m.name)
-		res := testing.Benchmark(m.fn)
-		mr := microReport{
-			Name:        m.name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		}
-		fmt.Fprintf(os.Stderr, " %10.1f ns/op %4d allocs/op\n", mr.NsPerOp, mr.AllocsPerOp)
-		rep.Micro = append(rep.Micro, mr)
-	}
-
-	// Profiles are finalized here, covering exactly the sim and micro
-	// loops — fatalf below (drift/baseline failures) must not lose them.
+	// Profiles are finalized here, covering exactly the sim loop —
+	// fatalf below (drift/baseline failures) must not lose them.
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := cpuFile.Close(); err != nil {
@@ -379,150 +351,4 @@ func checkPins(path string, rep report) error {
 		}
 	}
 	return nil
-}
-
-// --- microbenchmarks of the per-access hot path ---
-
-type micro struct {
-	name string
-	fn   func(b *testing.B)
-}
-
-func microBenches() []micro {
-	return []micro{
-		{"dram-activate", benchDRAMActivate},
-		{"dram-row-content", benchDRAMRowContent},
-		{"tracker-cam-observe", benchCAMObserve},
-		{"tracker-cat-observe", benchCATObserve},
-		{"rit-remap", benchRITRemap},
-		{"memctrl-access-rrs", benchMemctrlAccess},
-	}
-}
-
-// benchRows keeps the benchmark working set larger than tracker capacity
-// so eviction paths are exercised, but small against a bank.
-const benchRows = 4096
-
-// splitmix is the trace generator's PRNG, reused so benchmark address
-// streams are pinned without pulling rand into the hot loop.
-func splitmixNext(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
-func benchDRAMActivate(b *testing.B) {
-	sys := dram.MustNew(config.Default())
-	id := dram.BankID{}
-	s := uint64(benchSeed)
-	b.ReportAllocs()
-	b.ResetTimer()
-	now := int64(0)
-	for i := 0; i < b.N; i++ {
-		row := int(splitmixNext(&s) % benchRows)
-		sys.Activate(id, row, now)
-		now += 22
-	}
-}
-
-func benchDRAMRowContent(b *testing.B) {
-	sys := dram.MustNew(config.Default())
-	id := dram.BankID{}
-	s := uint64(benchSeed)
-	for i := 0; i < benchRows/2; i++ {
-		sys.SetRowContent(id, i, uint64(i)|1<<63)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		row := int(splitmixNext(&s) % benchRows)
-		sink ^= sys.RowContent(id, row)
-	}
-	_ = sink
-}
-
-func benchCAMObserve(b *testing.B) {
-	cam, err := tracker.NewCAM(128, 1<<62)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := uint64(benchSeed)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cam.Observe(splitmixNext(&s) % benchRows)
-	}
-}
-
-func benchCATObserve(b *testing.B) {
-	// The paper's tracker geometry: 2 tables x 64 sets x (14+6) ways.
-	ct, err := tracker.NewCAT(cat.Spec{Sets: 64, Ways: 20}, 2*64*14, 1<<62, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := uint64(benchSeed)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct.Observe(splitmixNext(&s) % benchRows)
-	}
-}
-
-func benchRITRemap(b *testing.B) {
-	// The paper's RIT geometry: 2 tables x 256 sets x 20 ways, 3.4K
-	// tuples; half-full so Remap sees both hits and misses.
-	r, err := rit.New(cat.Spec{Sets: 256, Ways: 20}, 3400, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := uint64(benchSeed)
-	for installed := 0; installed < 1700; {
-		x := splitmixNext(&s) % benchRows
-		y := benchRows + splitmixNext(&s)%benchRows
-		if r.Contains(x) || r.Contains(y) {
-			continue
-		}
-		if _, ok, err := r.Install(x, y); err != nil {
-			b.Fatal(err)
-		} else if ok {
-			installed++
-		}
-	}
-	s = benchSeed
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink ^= r.Remap(splitmixNext(&s) % (2 * benchRows))
-	}
-	_ = sink
-}
-
-func benchMemctrlAccess(b *testing.B) {
-	cfg := config.Default().Scaled(32)
-	sys := dram.MustNew(cfg)
-	factory, err := service.MitigationFactory(service.MitRRS, 32, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var mit memctrl.Mitigation = memctrl.None{}
-	if m := factory(sys); m != nil {
-		mit = m
-	}
-	ctl := memctrl.New(sys, mit)
-	s := uint64(benchSeed)
-	lines := uint64(cfg.MemoryBytes()) / uint64(cfg.LineBytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	now := int64(0)
-	for i := 0; i < b.N; i++ {
-		line := splitmixNext(&s) % lines
-		done := ctl.Access(line, i%16 == 0, now)
-		if done > now {
-			now = done
-		}
-	}
 }

@@ -9,12 +9,14 @@
 //	rrs-experiments -exp table4
 //	rrs-experiments -exp fig10 -server http://localhost:8080
 //
-// With -server, each figure's whole grid is submitted as one server-side
-// sweep (POST /v1/sweeps) to a running rrs-serve: the server expands the
-// axes into child jobs deduplicated by content hash, and repeated sweeps
-// (and the baseline runs shared between figures) are answered from its
-// result cache. Points outside a sweep's axes fall back to individual
-// job submissions.
+// Every simulation-backed experiment describes its grid as one sweep
+// and runs it on a job service. By default that is an in-process
+// manager shared by every experiment of the invocation, so the baseline
+// runs shared between figures are simulated once. With -server, each
+// grid is posted instead (POST /v1/sweeps) to a running rrs-serve: the
+// server expands the axes into child jobs deduplicated by content hash,
+// and repeated sweeps are answered from its result store. Both ways
+// print the same tables.
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7 fig5 fig6
 // fig7 fig9 fig10 fig11 dos ablation probabilistic detection mixes rowclone
@@ -39,6 +41,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/service"
@@ -65,7 +68,7 @@ func main() {
 		epochs    = flag.Int("epochs", 2, "simulated epochs per run")
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: the 28 Table 3 workloads)")
 		seed      = flag.Uint64("seed", 0xEC0, "trace seed")
-		server    = flag.String("server", "", "base URL of a running rrs-serve (e.g. http://localhost:8080); simulation sweeps are submitted as jobs and share the server's result cache instead of computing locally")
+		server    = flag.String("server", "", "base URL of a running rrs-serve (e.g. http://localhost:8080); each experiment's grid is posted as one sweep and runs on the server, sharing its result store, instead of in-process")
 
 		shootout    = flag.Bool("shootout", false, "shorthand for -exp shootout: the cross-defense comparison")
 		mitigations = flag.String("mitigations", "", "comma-separated mitigation subset for the shootout (default: the full zoo)")
@@ -89,22 +92,32 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	s := experiments.Scale{Factor: *scale, Epochs: *epochs, Seed: *seed}
 	if *server != "" {
 		client := service.NewClient(*server)
-		if err := client.Health(context.Background()); err != nil {
+		// Leaving PollInterval unset would honor the server's 1 s
+		// Retry-After hint on every pending poll, which floors each
+		// experiment at a second or more; a sweep's results are one small
+		// GET, so poll at the cadence the fleet uses between nodes.
+		client.PollInterval = 20 * time.Millisecond
+		if err := client.Health(ctx); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "rrs-experiments: offloading sweeps to %s\n", *server)
-		s.Runner = func(spec service.Spec) (sim.Result, error) {
-			return client.Run(context.Background(), spec)
-		}
-		// Whole figures go up as one POST /v1/sweeps each; the server
-		// expands, dedups and spreads the children (fleet mode routes them
-		// by content hash). Runner stays wired for the few points outside
-		// a sweep's axes.
+		// Each grid goes up as one POST /v1/sweeps; the server expands,
+		// dedups and spreads the children (fleet mode routes them by
+		// content hash).
 		s.Sweeper = func(ss service.SweepSpec) (map[string]sim.Result, error) {
-			return client.RunSweep(context.Background(), ss)
+			return client.RunSweep(ctx, ss)
+		}
+	} else {
+		// One manager for the whole invocation: its result store answers
+		// any point an earlier experiment already ran.
+		m := service.NewManager(service.Options{})
+		defer m.Shutdown(ctx)
+		s.Sweeper = func(ss service.SweepSpec) (map[string]sim.Result, error) {
+			return m.RunSweep(ctx, ss)
 		}
 	}
 	if *workloads != "" {

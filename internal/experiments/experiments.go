@@ -12,13 +12,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/dram"
-	"repro/internal/memctrl"
-	"repro/internal/mitigation"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -35,20 +29,15 @@ type Scale struct {
 	// Workloads optionally restricts the workload set (nil = Table 3's
 	// 28 detailed workloads).
 	Workloads []trace.Workload
-	// Runner, when non-nil, executes the named-mitigation sweep points
-	// (the tables and figures built from job specs) instead of an
-	// in-process sim.Run — e.g. service.Client.Run to offload a sweep to
-	// a running rrs-serve, or Manager.RunSync to share a local result
-	// cache. Experiments that build bespoke mitigation parameters (the
-	// probabilistic and RowClone ablations) always run locally.
-	Runner func(service.Spec) (sim.Result, error)
-	// Sweeper, when non-nil, executes a whole axes product server-side in
-	// one call (POST /v1/sweeps via service.Client.RunSweep, or
-	// Manager.SubmitSweep in-process) and returns the child results keyed
-	// by child spec content hash. The figures and the shootout then look
-	// their points up instead of submitting one job per point; any point
-	// outside the sweep falls back to Runner/in-process. nil keeps the
-	// per-point path.
+	// Sweeper executes one grid — a base job plus axes — and returns the
+	// results of its children keyed by child spec content hash. Every
+	// experiment built from job specs runs through it:
+	// service.Client.RunSweep offloads the grid to a running rrs-serve,
+	// and a shared service.Manager's RunSweep lets experiments reuse each
+	// other's runs. nil runs each grid on a fresh in-process Manager.
+	// Experiments that build mitigations no Spec can name (the
+	// probabilistic, RowClone and attack experiments) call sim and attack
+	// directly.
 	Sweeper func(service.SweepSpec) (map[string]sim.Result, error)
 }
 
@@ -93,93 +82,18 @@ func (s Scale) options(w trace.Workload) sim.Options {
 
 // spec builds the service job spec for one sweep point: the given
 // workloads at this scale under a named mitigation. It describes the
-// same run as options() + a MitigationFactory — the service executes
-// specs through the identical code path, so local and served sweeps
-// agree bit-for-bit.
+// same run as options() plus service.MitigationFactory.
 func (s Scale) spec(mit string, blacklist uint32, ws ...trace.Workload) service.Spec {
 	epochs := s.Epochs
 	if epochs < 1 {
 		epochs = 1
 	}
-	names := make([]string, len(ws))
-	for i, w := range ws {
-		names[i] = w.Name
-	}
 	return service.Spec{
-		Workloads:  names,
+		Workloads:  workloadNames(ws),
 		Mitigation: mit,
 		Blacklist:  blacklist,
 		Scale:      max(1, s.Factor),
 		Epochs:     epochs,
 		Seed:       s.Seed,
-	}
-}
-
-// runSpec executes one sweep point through the Runner (a job service)
-// or, by default, in-process.
-func (s Scale) runSpec(spec service.Spec) (sim.Result, error) {
-	if s.Runner != nil {
-		return s.Runner(spec)
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Run(opts)
-}
-
-// normalizedSpec measures spec's mitigated IPC over the unprotected
-// baseline for the same spec (the paper's normalized-performance
-// metric), routing both runs through runSpec so they hit the Runner's
-// cache.
-func (s Scale) normalizedSpec(spec service.Spec) (float64, sim.Result, sim.Result, error) {
-	return s.normalizedVia(s.runSpec, spec)
-}
-
-// normalizedVia is normalizedSpec over an arbitrary point executor —
-// how the sweep-backed figures (see sweepRunner) reuse the exact
-// baseline/mitigated pairing of the per-point path.
-func (s Scale) normalizedVia(run func(service.Spec) (sim.Result, error), spec service.Spec) (float64, sim.Result, sim.Result, error) {
-	base := spec
-	base.Mitigation = service.MitNone
-	base.Blacklist = 0
-	baseRes, err := run(base)
-	if err != nil {
-		return 0, sim.Result{}, sim.Result{}, err
-	}
-	mitRes, err := run(spec)
-	if err != nil {
-		return 0, sim.Result{}, sim.Result{}, err
-	}
-	if baseRes.IPC == 0 {
-		return 0, baseRes, mitRes, fmt.Errorf("experiments: baseline IPC is zero")
-	}
-	return mitRes.IPC / baseRes.IPC, baseRes, mitRes, nil
-}
-
-// RRSFactory builds an RRS mitigation with the swap cost scaled to match
-// the shrunken epoch.
-func (s Scale) RRSFactory() func(*dram.System) memctrl.Mitigation {
-	return func(sys *dram.System) memctrl.Mitigation {
-		r, err := core.New(sys, core.ScaledParams(sys.Config()))
-		if err != nil {
-			panic(err)
-		}
-		return r
-	}
-}
-
-// BlockHammerFactory builds the BlockHammer baseline with a blacklist
-// threshold scaled like T_RH (the paper evaluates N_BL of 512 and 1K at
-// T_RH = 4.8K).
-func (s Scale) BlockHammerFactory(blacklist uint32) func(*dram.System) memctrl.Mitigation {
-	factor := uint32(s.Factor)
-	if factor < 1 {
-		factor = 1
-	}
-	return func(sys *dram.System) memctrl.Mitigation {
-		p := mitigation.DefaultBlockHammerParams()
-		p.BlacklistThreshold = max(1, blacklist/factor)
-		return mitigation.NewBlockHammer(sys, p)
 	}
 }

@@ -130,7 +130,14 @@ func MixedWorkloads(s Scale, count int) ([]Figure6Row, *stats.Table, error) {
 	t := stats.NewTable("Mix", "RRS normalized perf")
 	var norms []float64
 	for _, m := range mixes {
-		norm, _, _, err := s.normalizedSpec(s.spec(service.MitRRS, 0, m.Workloads...))
+		spec := s.spec(service.MitRRS, 0, m.Workloads...)
+		g, err := s.sweep(spec, service.SweepAxes{
+			Mitigations: []string{service.MitNone, service.MitRRS},
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		norm, _, _, err := g.normalized(spec)
 		if err != nil {
 			return nil, nil, err
 		}

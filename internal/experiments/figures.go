@@ -8,7 +8,6 @@ import (
 	"repro/internal/cat"
 	"repro/internal/core"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -24,24 +23,22 @@ type Figure5Row struct {
 // 78 workloads, with hmmer and bzip2 near 1000).
 func Figure5(s Scale) ([]Figure5Row, *stats.Table, error) {
 	ws := s.workloads()
-	run, err := s.sweepRunner(s.spec(service.MitRRS, 0),
+	g, err := s.sweep(s.spec(service.MitRRS, 0),
 		service.SweepAxes{Workloads: workloadNames(ws)})
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := runAll(ws, func(w trace.Workload) (sim.Result, error) {
-		return run(s.spec(service.MitRRS, 0, w))
-	})
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []Figure5Row
 	t := stats.NewTable("Workload", "Swaps/epoch", "Paper hot rows")
 	var sum float64
-	for i, w := range ws {
-		rows = append(rows, Figure5Row{Workload: w.Name, SwapsPerEpoch: results[i].SwapsPerEpoch})
-		t.AddRow(w.Name, results[i].SwapsPerEpoch, w.HotRows)
-		sum += results[i].SwapsPerEpoch
+	for _, w := range ws {
+		res, err := g.at(s.spec(service.MitRRS, 0, w))
+		if err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, Figure5Row{Workload: w.Name, SwapsPerEpoch: res.SwapsPerEpoch})
+		t.AddRow(w.Name, res.SwapsPerEpoch, w.HotRows)
+		sum += res.SwapsPerEpoch
 	}
 	t.AddRow("MEAN", sum/float64(len(rows)), "")
 	return rows, t, nil
@@ -64,25 +61,24 @@ func normalizedPerf(s Scale, mit string, blacklist uint32, label string) ([]Figu
 	// One sweep covers the defense and its unprotected baseline; the
 	// baseline children's blacklist normalizes away, so they dedup into
 	// one job per workload regardless of the defense's tracker size.
-	run, err := s.sweepRunner(s.spec(mit, blacklist), service.SweepAxes{
+	g, err := s.sweep(s.spec(mit, blacklist), service.SweepAxes{
 		Mitigations: []string{service.MitNone, mit},
 		Workloads:   workloadNames(ws),
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	norms, err := runAll(ws, func(w trace.Workload) (float64, error) {
-		norm, _, _, err := s.normalizedVia(run, s.spec(mit, blacklist, w))
-		return norm, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
 	var rows []Figure6Row
+	var norms []float64
 	t := stats.NewTable("Workload", label+" normalized perf")
-	for i, w := range ws {
-		rows = append(rows, Figure6Row{Workload: w.Name, Normalized: norms[i]})
-		t.AddRow(w.Name, norms[i])
+	for _, w := range ws {
+		norm, _, _, err := g.normalized(s.spec(mit, blacklist, w))
+		if err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, Figure6Row{Workload: w.Name, Normalized: norm})
+		norms = append(norms, norm)
+		t.AddRow(w.Name, norm)
 	}
 	t.AddRow("GEOMEAN", stats.GeoMean(norms))
 	return rows, t, nil
@@ -198,7 +194,7 @@ func Figure10(s Scale) ([]Figure10Point, *stats.Table, error) {
 	}
 	// The whole threshold grid — every multiplier, mitigated and
 	// baseline — is one sweep.
-	run, err := s.sweepRunner(s.spec(service.MitRRS, 0), service.SweepAxes{
+	g, err := s.sweep(s.spec(service.MitRRS, 0), service.SweepAxes{
 		Mitigations:         []string{service.MitNone, service.MitRRS},
 		RowHammerThresholds: trhs,
 		Workloads:           workloadNames(s.workloads()),
@@ -207,19 +203,19 @@ func Figure10(s Scale) ([]Figure10Point, *stats.Table, error) {
 		return nil, nil, err
 	}
 	for i, mult := range mults {
-		trh := trhs[i]
-		norms, err := runAll(s.workloads(), func(w trace.Workload) (float64, error) {
+		var norms []float64
+		for _, w := range s.workloads() {
 			spec := s.spec(service.MitRRS, 0, w)
-			spec.RowHammerThreshold = trh
-			norm, _, _, err := s.normalizedVia(run, spec)
-			return norm, err
-		})
-		if err != nil {
-			return nil, nil, err
+			spec.RowHammerThreshold = trhs[i]
+			norm, _, _, err := g.normalized(spec)
+			if err != nil {
+				return nil, nil, err
+			}
+			norms = append(norms, norm)
 		}
-		g := stats.GeoMean(norms)
-		pts = append(pts, Figure10Point{Multiplier: mult, TRH: trh, GeoMean: g})
-		t.AddRow(fmt.Sprintf("%.2fx", mult), trh, g)
+		geo := stats.GeoMean(norms)
+		pts = append(pts, Figure10Point{Multiplier: mult, TRH: trhs[i], GeoMean: geo})
+		t.AddRow(fmt.Sprintf("%.2fx", mult), trhs[i], geo)
 	}
 	return pts, t, nil
 }
@@ -248,7 +244,7 @@ func Figure11(s Scale) ([]Figure11Series, *stats.Table, error) {
 	// the baseline normalize it away and collapse), so the product
 	// {none,rrs,blockhammer} × {512,1024} expands to exactly the distinct
 	// jobs the figure needs.
-	run, err := s.sweepRunner(s.spec(service.MitRRS, 0), service.SweepAxes{
+	g, err := s.sweep(s.spec(service.MitRRS, 0), service.SweepAxes{
 		Mitigations: []string{service.MitNone, service.MitRRS, service.MitBlockHammer},
 		Blacklists:  []uint32{512, 1024},
 		Workloads:   workloadNames(s.workloads()),
@@ -258,12 +254,13 @@ func Figure11(s Scale) ([]Figure11Series, *stats.Table, error) {
 	}
 	var series []Figure11Series
 	for _, d := range defenses {
-		norms, err := runAll(s.workloads(), func(w trace.Workload) (float64, error) {
-			norm, _, _, err := s.normalizedVia(run, s.spec(d.mit, d.blacklist, w))
-			return norm, err
-		})
-		if err != nil {
-			return nil, nil, err
+		var norms []float64
+		for _, w := range s.workloads() {
+			norm, _, _, err := g.normalized(s.spec(d.mit, d.blacklist, w))
+			if err != nil {
+				return nil, nil, err
+			}
+			norms = append(norms, norm)
 		}
 		sort.Float64s(norms)
 		series = append(series, Figure11Series{Label: d.label, Norms: norms})
@@ -333,10 +330,16 @@ func TrackerAblation(s Scale, workload string) ([]AblationRow, *stats.Table, err
 		mit   string
 	}{{"CAT (scalable)", service.MitRRS}, {"CAM (reference)", service.MitRRSCAM}}
 
+	g, err := s.sweep(s.spec(service.MitRRS, 0, w), service.SweepAxes{
+		Mitigations: []string{service.MitNone, service.MitRRS, service.MitRRSCAM},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	var rows []AblationRow
 	t := stats.NewTable("Tracker", "Normalized perf", "Swaps/epoch")
 	for _, v := range variants {
-		norm, _, mitRes, err := s.normalizedSpec(s.spec(v.mit, 0, w))
+		norm, _, mitRes, err := g.normalized(s.spec(v.mit, 0, w))
 		if err != nil {
 			return nil, nil, err
 		}

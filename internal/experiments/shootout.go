@@ -80,14 +80,12 @@ func Shootout(s Scale, mitigations []string, paranoid bool) ([]ShootoutRow, *sta
 	}
 
 	// Perf leg: one unprotected baseline per workload, shared by every
-	// defense. The whole leg — baseline plus the zoo — is a single sweep
-	// when a Sweeper is configured (runSpec still routes through the
-	// Runner's cache when serving point by point).
+	// defense. The whole leg — baseline plus the zoo — is a single sweep.
 	ws := s.workloads()
 	type perfKey struct{ mit, workload string }
 	baseSpec := s.spec(service.MitNone, 0)
 	baseSpec.Paranoid = paranoid
-	run, err := s.sweepRunner(baseSpec, service.SweepAxes{
+	g, err := s.sweep(baseSpec, service.SweepAxes{
 		Mitigations: append([]string{service.MitNone}, mitigations...),
 		Workloads:   workloadNames(ws),
 	})
@@ -98,7 +96,7 @@ func Shootout(s Scale, mitigations []string, paranoid bool) ([]ShootoutRow, *sta
 	for _, w := range ws {
 		spec := s.spec(service.MitNone, 0, w)
 		spec.Paranoid = paranoid
-		res, err := run(spec)
+		res, err := g.at(spec)
 		if err != nil {
 			return nil, nil, fmt.Errorf("shootout baseline: %w", err)
 		}
@@ -112,7 +110,7 @@ func Shootout(s Scale, mitigations []string, paranoid bool) ([]ShootoutRow, *sta
 		for _, w := range ws {
 			spec := s.spec(name, 0, w)
 			spec.Paranoid = paranoid
-			res, err := run(spec)
+			res, err := g.at(spec)
 			if err != nil {
 				return nil, nil, fmt.Errorf("shootout %s: %w", name, err)
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"net/http/httptest"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -11,71 +12,51 @@ import (
 	"repro/internal/sim"
 )
 
-// managerSweeper backs Scale.Sweeper with an in-process manager — the
-// same SubmitSweep path POST /v1/sweeps drives, minus the transport.
-func managerSweeper(t *testing.T, m *service.Manager, sweeps *atomic.Int64) func(service.SweepSpec) (map[string]sim.Result, error) {
-	return func(ss service.SweepSpec) (map[string]sim.Result, error) {
-		sweeps.Add(1)
-		sw, _, err := m.SubmitSweep(ss)
-		if err != nil {
-			return nil, err
-		}
-		select {
-		case <-sw.Done():
-		case <-time.After(2 * time.Minute):
-			t.Fatalf("sweep %s wedged", sw.ID())
-		}
-		return m.SweepResults(sw), nil
-	}
-}
-
-func sweepManager(t *testing.T) *service.Manager {
+// servedScale is tinyScale with its grids posted to an httptest server
+// in front of a fresh manager, through the same client call
+// rrs-experiments -server uses.
+func servedScale(t *testing.T, sweeps *atomic.Int64) Scale {
 	t.Helper()
-	m := service.NewManager(service.Options{Workers: 2})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	})
-	return m
+	srv := httptest.NewServer(service.Handler(testManager(t, service.Options{Workers: 2})))
+	t.Cleanup(srv.Close)
+	c := service.NewClient(srv.URL)
+	c.PollInterval = 5 * time.Millisecond
+	s := tinyScale()
+	s.Sweeper = func(ss service.SweepSpec) (map[string]sim.Result, error) {
+		sweeps.Add(1)
+		return c.RunSweep(context.Background(), ss)
+	}
+	return s
 }
 
-// TestFigure5SweepPathMatchesLocal proves the tentpole's byte-identical
-// claim for a figure: routing the grid through one server-side sweep
-// reproduces the per-point local run exactly — same rows, same rendered
-// table — with every point covered by the single sweep (the Runner
-// fallback never fires).
+// TestFigure5SweepPathMatchesLocal checks that a figure is the same
+// whether its grid runs on an in-process manager or is posted to a
+// server: same rows, same rendered table, one sweep.
 func TestFigure5SweepPathMatchesLocal(t *testing.T) {
 	localRows, localTable, err := Figure5(tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s := tinyScale()
 	var sweeps atomic.Int64
-	s.Sweeper = managerSweeper(t, sweepManager(t), &sweeps)
-	s.Runner = func(spec service.Spec) (sim.Result, error) {
-		t.Errorf("point %s fell back to the per-point path", spec.Hash()[:12])
-		return sim.Result{}, nil
-	}
-	sweepRows, sweepTable, err := Figure5(s)
+	servedRows, servedTable, err := Figure5(servedScale(t, &sweeps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sweeps.Load(); got != 1 {
 		t.Errorf("figure submitted %d sweeps, want 1", got)
 	}
-	if !reflect.DeepEqual(localRows, sweepRows) {
-		t.Errorf("rows diverge:\nlocal %+v\nsweep %+v", localRows, sweepRows)
+	if !reflect.DeepEqual(localRows, servedRows) {
+		t.Errorf("rows diverge:\nlocal  %+v\nserved %+v", localRows, servedRows)
 	}
-	if localTable.String() != sweepTable.String() {
-		t.Errorf("tables diverge:\nlocal:\n%s\nsweep:\n%s", localTable, sweepTable)
+	if localTable.String() != servedTable.String() {
+		t.Errorf("tables diverge:\nlocal:\n%s\nserved:\n%s", localTable, servedTable)
 	}
 }
 
-// TestShootoutSweepPathMatchesLocal is the same byte-identical check for
-// the shootout's perf leg: baseline plus the mitigation subset go up as
-// one sweep, and the rendered table matches the client-side loop's.
+// TestShootoutSweepPathMatchesLocal is the same check for the
+// shootout's perf leg: baseline plus the mitigation subset go up as one
+// sweep either way.
 func TestShootoutSweepPathMatchesLocal(t *testing.T) {
 	mits := []string{service.MitRRS, service.MitSRS}
 	localRows, localTable, err := Shootout(tinyScale(), mits, false)
@@ -83,24 +64,18 @@ func TestShootoutSweepPathMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := tinyScale()
 	var sweeps atomic.Int64
-	s.Sweeper = managerSweeper(t, sweepManager(t), &sweeps)
-	s.Runner = func(spec service.Spec) (sim.Result, error) {
-		t.Errorf("point %s fell back to the per-point path", spec.Hash()[:12])
-		return sim.Result{}, nil
-	}
-	sweepRows, sweepTable, err := Shootout(s, mits, false)
+	servedRows, servedTable, err := Shootout(servedScale(t, &sweeps), mits, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sweeps.Load(); got != 1 {
 		t.Errorf("shootout submitted %d sweeps, want 1", got)
 	}
-	if !reflect.DeepEqual(localRows, sweepRows) {
-		t.Errorf("rows diverge:\nlocal %+v\nsweep %+v", localRows, sweepRows)
+	if !reflect.DeepEqual(localRows, servedRows) {
+		t.Errorf("rows diverge:\nlocal  %+v\nserved %+v", localRows, servedRows)
 	}
-	if localTable.String() != sweepTable.String() {
-		t.Errorf("tables diverge:\nlocal:\n%s\nsweep:\n%s", localTable, sweepTable)
+	if localTable.String() != servedTable.String() {
+		t.Errorf("tables diverge:\nlocal:\n%s\nserved:\n%s", localTable, servedTable)
 	}
 }

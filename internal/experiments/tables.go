@@ -8,7 +8,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/security"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -57,17 +56,19 @@ type Table3Row struct {
 // from the catalog; hot rows are measured on the simulated baseline.
 func Table3(s Scale) ([]Table3Row, *stats.Table, error) {
 	ws := s.workloads()
-	results, err := runAll(ws, func(w trace.Workload) (sim.Result, error) {
-		return s.runSpec(s.spec(service.MitNone, 0, w))
-	})
+	g, err := s.sweep(s.spec(service.MitNone, 0),
+		service.SweepAxes{Workloads: workloadNames(ws)})
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []Table3Row
 	t := stats.NewTable("Workload", "Footprint(GB)", "MPKI(paper)", "MPKI(meas)",
 		"ACT-hot(paper)", "ACT-hot(meas)")
-	for i, w := range ws {
-		res := results[i]
+	for _, w := range ws {
+		res, err := g.at(s.spec(service.MitNone, 0, w))
+		if err != nil {
+			return nil, nil, err
+		}
 		rows = append(rows, Table3Row{Workload: w, MeasuredMPKI: res.MPKI,
 			MeasuredHotRows: res.HotRowsPerEpoch})
 		t.AddRow(w.Name, float64(w.FootprintBytes)/(1<<30), w.MPKI, res.MPKI,
@@ -120,22 +121,27 @@ type Table6Result struct {
 // Table6 measures the DRAM power overhead of RRS (row-swap transfers) on
 // the experiment workloads and the SRAM power of the RRS structures.
 func Table6(s Scale) (Table6Result, *stats.Table, error) {
-	pairs, err := runAll(s.workloads(), func(w trace.Workload) (normPair, error) {
-		norm, base, mit, err := s.normalizedSpec(s.spec(service.MitRRS, 0, w))
-		return normPair{norm: norm, base: base, mit: mit}, err
+	ws := s.workloads()
+	g, err := s.sweep(s.spec(service.MitRRS, 0), service.SweepAxes{
+		Mitigations: []string{service.MitNone, service.MitRRS},
+		Workloads:   workloadNames(ws),
 	})
 	if err != nil {
 		return Table6Result{}, nil, err
 	}
 	var overheads []float64
-	for _, p := range pairs {
+	for _, w := range ws {
+		_, base, mit, err := g.normalized(s.spec(service.MitRRS, 0, w))
+		if err != nil {
+			return Table6Result{}, nil, err
+		}
 		// Runs are time-bounded, so the two configurations complete
 		// different amounts of work; compare energy per instruction.
-		if p.base.Instructions == 0 || p.mit.Instructions == 0 {
+		if base.Instructions == 0 || mit.Instructions == 0 {
 			continue
 		}
-		basePer := p.base.Energy.TotalMJ() / float64(p.base.Instructions)
-		rrsPer := p.mit.Energy.TotalMJ() / float64(p.mit.Instructions)
+		basePer := base.Energy.TotalMJ() / float64(base.Instructions)
+		rrsPer := mit.Energy.TotalMJ() / float64(mit.Instructions)
 		overheads = append(overheads, (rrsPer/basePer-1)*100)
 	}
 	cfg := config.Default()

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -693,6 +694,32 @@ func (m *Manager) SweepResults(sw *Sweep) map[string]sim.Result {
 		}
 	}
 	return out
+}
+
+// RunSweep submits ss and waits for every child — the in-process twin
+// of Client.RunSweep, with the same contract: the results of the done
+// children keyed by child content hash, plus an error when the sweep
+// did not finish done. On ctx expiry the sweep is cancelled and only
+// ctx's error is returned.
+func (m *Manager) RunSweep(ctx context.Context, ss SweepSpec) (map[string]sim.Result, error) {
+	sw, _, err := m.SubmitSweep(ss)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-sw.Done():
+	case <-ctx.Done():
+		m.CancelSweep(sw.ID())
+		return nil, ctx.Err()
+	}
+	res := m.SweepResults(sw)
+	sw.mu.Lock()
+	state, errMsg := sw.state, sw.err
+	sw.mu.Unlock()
+	if state != StateDone {
+		return res, fmt.Errorf("service: sweep %s %s: %s", sw.ID(), state, errMsg)
+	}
+	return res, nil
 }
 
 // restoreSweep rebuilds one journaled sweep at startup. Terminal sweeps
