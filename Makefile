@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-figures bench-quick bench-guard paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check profile shootout-smoke sweep-smoke clean
+.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-micro paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check profile shootout-smoke sweep-smoke clean
 
 all: build lint test
 
@@ -117,6 +117,11 @@ bench-guard:
 	$(GO) run ./cmd/rrs-bench -quick -reps 7 -pins cmd/rrs-bench/pins.json \
 		-baseline BENCH_PR7.json -min-speedup 0.98 -out bench-quick.json
 
+# bench-micro runs every package micro-benchmark once, so CI executes
+# them rather than only compiling them; it measures nothing.
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
 # alloc-check runs the per-access allocation pins: the hot path — and
 # every hook layered onto it (paranoid checks, event recording) — must
 # stay at 0 allocs/op when its feature is off. CI runs this next to
@@ -127,7 +132,7 @@ bench-guard:
 # unnoticed where only the touched rows need state.
 alloc-check:
 	$(GO) test -run 'AllocFree|AllocBytes' -count=1 ./internal/rit ./internal/tracker \
-		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation
+		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation ./internal/cpu
 
 # shootout-smoke runs the cross-defense comparison at quick scale with
 # the invariant engine on: every mitigation in the zoo (RRS, the paper

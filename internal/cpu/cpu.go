@@ -37,11 +37,23 @@ type Core struct {
 
 	clock    int64 // core-local time
 	pos      int64 // instructions fetched so far
-	retired  int64
-	loads    []pending // outstanding loads, oldest first
 	nextRec  trace.Record
 	haveNext bool
 	done     bool
+
+	// loads[head:] are the outstanding loads in position order. Those
+	// that can hold fetch back (target-pos >= rob) form a prefix, so the
+	// issue scan stops at the first load inside the ROB window. A load
+	// that returned while still inside the window stays until it leaves
+	// it; its data time is at most the clock, so it never raises an
+	// issue or finish time.
+	loads []pending
+	head  int
+
+	// next caches issueState for the Issue that follows NextIssueTime;
+	// Issue and Complete clear nextOK.
+	next   issue
+	nextOK bool
 
 	// Budget is how many instructions the core executes before reporting
 	// done (rate mode re-reads the trace until every core finishes).
@@ -76,6 +88,13 @@ func (c *Core) Clock() int64 { return c.clock }
 // Instructions returns how many instructions the core has completed.
 func (c *Core) Instructions() int64 { return c.pos }
 
+// issue is when and where the next access issues, and how many of the
+// oldest loads it retires.
+type issue struct {
+	t, target int64
+	retire    int
+}
+
 // NextIssueTime returns the bus cycle at which the core's next memory
 // access will be issued, considering fetch bandwidth and ROB back
 // pressure. It is exact given the completions recorded so far. Returns
@@ -84,49 +103,52 @@ func (c *Core) NextIssueTime() (int64, bool) {
 	if c.done || !c.haveNext {
 		return 0, false
 	}
-	t, _ := c.issueState()
-	if c.Limit > 0 && t > c.Limit {
+	c.next, c.nextOK = c.issueState(), true
+	if c.Limit > 0 && c.next.t > c.Limit {
 		c.done = true
 		return 0, false
 	}
-	return t, true
+	return c.next.t, true
 }
 
-// issueState computes when the next record's access issues and the
-// instruction position it occupies.
-func (c *Core) issueState() (int64, int64) {
+// issueState computes when the next record's access issues, the
+// instruction position it occupies, and the loads it retires.
+func (c *Core) issueState() issue {
 	target := c.pos + int64(c.nextRec.Gap) + 1 // the access is one instruction
 	// Time to fetch up to target at full rate.
 	t := c.clock + int64(float64(target-c.pos)/c.rate)
 	// ROB: fetch cannot run further than rob instructions past the
-	// oldest incomplete load.
-	for _, p := range c.loads {
-		if target-p.pos >= c.rob && p.done > t {
-			t = p.done
+	// oldest incomplete load. Only the prefix of loads at least rob
+	// instructions back can block; all of them retire by t.
+	i := c.head
+	for ; i < len(c.loads) && target-c.loads[i].pos >= c.rob; i++ {
+		if d := c.loads[i].done; d > t {
+			t = d
 		}
 	}
-	return t, target
+	return issue{t: t, target: target, retire: i - c.head}
 }
 
 // Issue commits the pending record: the access enters the memory system at
 // the returned time. The caller must then call Complete with the memory
 // completion time (for loads) or Posted (for stores).
 func (c *Core) Issue() (rec trace.Record, at int64) {
-	t, target := c.issueState()
+	is := c.next
+	if !c.nextOK {
+		is = c.issueState()
+	}
+	c.nextOK = false
+	t, target := is.t, is.target
 	if t > c.clock {
 		c.StallCycles += t - c.clock - int64(float64(target-c.pos)/c.rate)
 	}
 	rec = c.nextRec
 	c.clock = t
 	c.pos = target
-	// Retire completed loads.
-	keep := c.loads[:0]
-	for _, p := range c.loads {
-		if p.done > c.clock {
-			keep = append(keep, p)
-		}
+	c.head += is.retire
+	if c.head == len(c.loads) {
+		c.loads, c.head = c.loads[:0], 0
 	}
-	c.loads = keep
 
 	c.nextRec, c.haveNext = c.reader.Next()
 	if c.Budget > 0 && c.pos >= c.Budget {
@@ -135,9 +157,14 @@ func (c *Core) Issue() (rec trace.Record, at int64) {
 	return rec, t
 }
 
-// Complete records a load's data-return time.
-func (c *Core) Complete(pos int64, done int64) {
-	c.loads = append(c.loads, pending{pos: pos, done: done})
+// Complete records the data-return time of the load issued last.
+func (c *Core) Complete(done int64) {
+	if len(c.loads) == cap(c.loads) && c.head > 0 {
+		n := copy(c.loads, c.loads[c.head:])
+		c.loads, c.head = c.loads[:n], 0
+	}
+	c.loads = append(c.loads, pending{pos: c.pos, done: done})
+	c.nextOK = false
 }
 
 // Pos returns the instruction position of the most recently issued access.
@@ -149,7 +176,7 @@ func (c *Core) Pos() int64 { return c.pos }
 // finish at the limit — their leftover budget is not simulated.
 func (c *Core) FinishTime() int64 {
 	t := c.clock
-	for _, p := range c.loads {
+	for _, p := range c.loads[c.head:] {
 		if p.done > t {
 			t = p.done
 		}

@@ -33,7 +33,7 @@ func TestIssueTimesFollowFetchRate(t *testing.T) {
 	}}
 	c := New(0, cfg(), r, 0)
 	_, t0 := c.Issue()
-	c.Complete(c.Pos(), t0+10)
+	c.Complete(t0 + 10)
 	_, t1 := c.Issue()
 	if t0 != 100 {
 		t.Fatalf("first issue at %d, want 100", t0)
@@ -52,7 +52,7 @@ func TestROBBackPressure(t *testing.T) {
 	}}
 	c := New(0, cfg(), r, 0)
 	_, t0 := c.Issue()
-	c.Complete(c.Pos(), t0+100000)
+	c.Complete(t0 + 100000)
 	_, t1 := c.Issue()
 	if t1 < t0+100000 {
 		t.Fatalf("second access at %d ignored ROB stall (load done at %d)", t1, t0+100000)
@@ -71,7 +71,7 @@ func TestNoStallWithinROBWindow(t *testing.T) {
 	}}
 	c := New(0, cfg(), r, 0)
 	_, t0 := c.Issue()
-	c.Complete(c.Pos(), t0+100000)
+	c.Complete(t0 + 100000)
 	_, t1 := c.Issue()
 	if t1 >= t0+100000 {
 		t.Fatal("MLP lost: second access waited for first load")
@@ -112,7 +112,7 @@ func TestFinishTimeCoversOutstandingLoadsAndBudget(t *testing.T) {
 	r := &sliceReader{recs: []trace.Record{{Gap: 0, Line: 1}}}
 	c := New(0, cfg(), r, 801)
 	_, t0 := c.Issue()
-	c.Complete(c.Pos(), t0+5000)
+	c.Complete(t0 + 5000)
 	f := c.FinishTime()
 	// Must wait for the load (t0+5000) plus 800 remaining instructions
 	// at 8 per bus cycle = 100 cycles.

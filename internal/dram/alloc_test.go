@@ -10,14 +10,22 @@ import (
 // TestHotPathAllocFree pins the flat-storage contract: per-access DRAM
 // operations (activate, plus content reads and rewrites of rows already
 // written) perform no allocations in steady state. The warm-up pass
-// fills the dirty list and the content map; afterwards the access path
-// must never touch the heap.
+// fills the dirty list and the content map and runs past one full
+// activation log, so the measured runs, which fold the log several
+// times, see the steady state. AllocsPerRun averages down to an integer
+// and would round away the dozen growths of a log grown by appending,
+// so the log's full capacity from construction is pinned directly.
 func TestHotPathAllocFree(t *testing.T) {
 	s := MustNew(testConfig())
 	id := BankID{}
 	for r := 0; r < 1<<10; r++ {
 		s.SetRowContent(id, r, uint64(r))
-		s.Activate(id, r, int64(r))
+	}
+	if c := cap(s.BankState(id).log); c != actLogSize {
+		t.Fatalf("activation log capacity %d, want %d from construction", c, actLogSize)
+	}
+	for i := 0; i <= actLogSize; i++ {
+		s.Activate(id, i%(1<<10), int64(i))
 	}
 	var sink uint64
 	if avg := testing.AllocsPerRun(200, func() {

@@ -33,6 +33,28 @@ func BenchmarkActivate(b *testing.B) {
 	}
 }
 
+// BenchmarkActivateScattered spreads ACTs over every row of every bank
+// at Table 2 geometry, as a high-MPKI trace does: almost every count
+// update misses the caches, which is what the activation log batches.
+func BenchmarkActivateScattered(b *testing.B) {
+	sys := MustNew(config.Default())
+	cfg := sys.Config()
+	s := uint64(0xBE)
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := int64(0)
+	for i := 0; i < b.N; i++ {
+		x := splitmixNext(&s)
+		id := BankID{
+			Channel: int(x % uint64(cfg.Channels)),
+			Rank:    int(x>>8) % cfg.Ranks,
+			Bank:    int(x>>16) % cfg.Banks,
+		}
+		sys.Activate(id, int(x>>32)%cfg.RowsPerBank, now)
+		now += 22
+	}
+}
+
 func BenchmarkRowContent(b *testing.B) {
 	sys := MustNew(config.Default())
 	id := BankID{}

@@ -19,10 +19,14 @@ func (s *System) EnableParanoid(eng *invariant.Engine) {
 //   - dram/structure: every dirty-list entry names a distinct row with a
 //     nonzero activation count (the epoch-reset fast path clears exactly
 //     the dirty rows, so a zero-count or duplicated entry means counts
-//     would leak across epochs); the content map holds only rows of
-//     the bank, so no swap wrote a tag past RowsPerBank.
+//     would leak across epochs); every row in the unfolded activation
+//     log is inside the bank, so the next fold cannot index past the
+//     counts; the content map holds only rows of the bank, so no swap
+//     wrote a tag past RowsPerBank.
 //
-// Cost is O(dirty + written rows) per bank — never O(RowsPerBank).
+// The check reads the log without folding it, so a paranoid run folds
+// exactly when an unchecked one does. Cost is O(dirty + log + written
+// rows) per bank — never O(RowsPerBank).
 func (s *System) CheckInvariants() error {
 	for i := range s.banks {
 		b := &s.banks[i]
@@ -41,6 +45,12 @@ func (s *System) CheckInvariants() error {
 					"bank %d: row %d appears twice in the dirty list", i, r)
 			}
 			seen[r] = struct{}{}
+		}
+		for _, r := range b.log {
+			if uint32(r) >= uint32(len(b.acts)) {
+				return invariant.Violatedf("dram/structure",
+					"bank %d: activation log names row %d beyond the bank's %d rows", i, r, len(b.acts))
+			}
 		}
 		for r := range b.content {
 			if uint(r) >= uint(s.cfg.RowsPerBank) {
@@ -67,6 +77,13 @@ func (s *System) TearNextSwapForTest() { s.tearNextSwap = true }
 func (s *System) CorruptDirtyForTest(id BankID, row int) {
 	b := s.BankState(id)
 	b.dirty = append(b.dirty, int32(row))
+}
+
+// CorruptLogForTest appends row to the bank's unfolded activation log
+// without checking that the bank has such a row.
+func (s *System) CorruptLogForTest(id BankID, row int) {
+	b := s.BankState(id)
+	b.log = append(b.log, int32(row))
 }
 
 // CorruptContentForTest plants a content tag for row in the bank's

@@ -12,6 +12,7 @@ package dram
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/invariant"
@@ -57,10 +58,12 @@ type Bank struct {
 	// row buffer (refresh closes open rows).
 	LastRefSlot int64
 
-	// Acts counts activations in the current epoch per row; only rows in
-	// dirty have nonzero counts.
+	// acts counts activations in the current epoch per row; only rows in
+	// dirty have nonzero counts. log holds the rows activated since the
+	// last fold, which has not yet reached acts (see Activate).
 	acts  []int32
 	dirty []int32
+	log   []int32
 
 	// content holds the 64-bit data tags of rows written by swaps (and by
 	// the ReadLine/WriteLine test helpers); other rows hold their identity
@@ -72,6 +75,33 @@ type Bank struct {
 	StatActs   int64
 	StatReads  int64
 	StatWrites int64
+}
+
+// actLogSize is how many activations a bank logs before folding them into
+// its counts (16 KiB of int32 rows per bank).
+const actLogSize = 4096
+
+// fold adds the logged activations to the per-row counts. The count
+// array is far larger than the caches and consecutive ACTs rarely share
+// a row, so almost every increment misses; no increment depends on
+// another, so in this loop the misses overlap instead of each stalling
+// the activation that caused it. Every row is written to the dirty
+// list's spare room and the length advances only past a first touch, a
+// conditional move rather than a branch that scattered rows mispredict.
+func (b *Bank) fold() {
+	d := slices.Grow(b.dirty, len(b.log))
+	n := len(d)
+	d = d[:n+len(b.log)]
+	for _, r := range b.log {
+		c := b.acts[r]
+		b.acts[r] = c + 1
+		d[n] = r
+		if c == 0 {
+			n++
+		}
+	}
+	b.dirty = d[:n]
+	b.log = b.log[:0]
 }
 
 // System is the full DRAM device state.
@@ -106,9 +136,11 @@ func New(cfg config.Config) (*System, error) {
 		busFree: make([]int64, cfg.Channels),
 		blocked: make([]int64, cfg.Channels),
 	}
+	logs := make([]int32, n*actLogSize)
 	for i := range s.banks {
 		s.banks[i].OpenRow = NoRow
 		s.banks[i].acts = make([]int32, cfg.RowsPerBank)
+		s.banks[i].log = logs[i*actLogSize : i*actLogSize : (i+1)*actLogSize]
 	}
 	return s, nil
 }
@@ -224,14 +256,16 @@ func (s *System) ReserveBus(ch int, earliest int64) int64 {
 
 // Activate records an activation of row in bank at time now: it opens the
 // row buffer, counts the activation for the epoch and statistics, and
-// notifies listeners. Timing reservations are the caller's job.
+// notifies listeners. Timing reservations are the caller's job. The
+// epoch count goes to the bank's log, folded into the per-row counts
+// when the log fills or a count is read.
 func (s *System) Activate(id BankID, row int, now int64) {
 	b := s.BankState(id)
 	b.OpenRow = row
-	if b.acts[row] == 0 {
-		b.dirty = append(b.dirty, int32(row))
+	if len(b.log) == cap(b.log) {
+		b.fold()
 	}
-	b.acts[row]++
+	b.log = append(b.log, int32(row))
 	b.StatActs++
 	for _, l := range s.listeners {
 		l.OnActivate(id, row, now)
@@ -241,13 +275,16 @@ func (s *System) Activate(id BankID, row int, now int64) {
 // ActCount returns the number of activations row has received in the
 // current epoch.
 func (s *System) ActCount(id BankID, row int) int {
-	return int(s.BankState(id).acts[row])
+	b := s.BankState(id)
+	b.fold()
+	return int(b.acts[row])
 }
 
 // RowsWithActsAtLeast counts rows in the bank with at least n activations
 // this epoch (the paper's ACT-800+ statistic uses n = 800).
 func (s *System) RowsWithActsAtLeast(id BankID, n int) int {
 	b := s.BankState(id)
+	b.fold()
 	count := 0
 	for _, r := range b.dirty {
 		if int(b.acts[r]) >= n {
@@ -268,7 +305,7 @@ func (s *System) RefreshAll() {
 }
 
 // ResetEpoch clears per-epoch activation counts for all banks (the rolling
-// refresh has covered every row once per epoch).
+// refresh has covered every row once per epoch), unfolded ones included.
 func (s *System) ResetEpoch() {
 	for i := range s.banks {
 		b := &s.banks[i]
@@ -276,6 +313,7 @@ func (s *System) ResetEpoch() {
 			b.acts[r] = 0
 		}
 		b.dirty = b.dirty[:0]
+		b.log = b.log[:0]
 	}
 	for _, fn := range s.epochHooks {
 		fn()

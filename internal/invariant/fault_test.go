@@ -191,6 +191,11 @@ func TestFaultCAT(t *testing.T) {
 			}
 		}},
 		{"gmin-cache", "tracker/setmin", func(_ *testing.T, c *tracker.CAT) { c.CorruptGminForTest(42) }},
+		// Any one flipped bit either marks a set at the minimum as above it
+		// or the reverse; a bit past the last set names no set at all.
+		{"atmin-flip-t0", "tracker/setmin", func(_ *testing.T, c *tracker.CAT) { c.CorruptAtMinForTest(0, 3) }},
+		{"atmin-flip-t1", "tracker/setmin", func(_ *testing.T, c *tracker.CAT) { c.CorruptAtMinForTest(1, 0) }},
+		{"atmin-past-sets", "tracker/setmin", func(_ *testing.T, c *tracker.CAT) { c.CorruptAtMinForTest(1, 8) }},
 		{"relocs-counter", "tracker/relocs", func(_ *testing.T, c *tracker.CAT) { c.CorruptRelocsForTest(1) }},
 		{"spill-skew", "tracker/spill", func(_ *testing.T, c *tracker.CAT) { c.CorruptSpillForTest(1 << 20) }},
 		{"presence-cleared", "cat/presence", func(tt *testing.T, c *tracker.CAT) {
@@ -352,6 +357,11 @@ func faultDRAM(t *testing.T) (*dram.System, dram.BankID) {
 		sys.Activate(id, row, int64(row))
 		sys.SetRowContent(id, row, uint64(100+row))
 	}
+	// Reading a count folds the logged ACTs, so rows 0-7 are dirty.
+	if n := sys.RowsWithActsAtLeast(id, 1); n != 8 {
+		t.Fatalf("warmup left %d rows activated, want 8", n)
+	}
+	sys.Activate(id, 8, 8) // one ACT left in the log
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatalf("pre-injection state not clean: %v", err)
 	}
@@ -368,6 +378,9 @@ func TestFaultDRAMStructure(t *testing.T) {
 		}},
 		{"dirty-duplicate", func(sys *dram.System, id dram.BankID) {
 			sys.CorruptDirtyForTest(id, 3) // already dirty from warmup
+		}},
+		{"log-row-out-of-bank", func(sys *dram.System, id dram.BankID) {
+			sys.CorruptLogForTest(id, sys.Config().RowsPerBank)
 		}},
 		{"content-out-of-bank", func(sys *dram.System, id dram.BankID) {
 			sys.CorruptContentForTest(id, sys.Config().RowsPerBank, 42)

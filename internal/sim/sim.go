@@ -390,7 +390,7 @@ func Run(opts Options) (Result, error) {
 		if !rec.Write {
 			// Loads occupy the ROB until data returns (plus the LLC fill
 			// hop); stores are posted.
-			next.Complete(next.Pos(), done+llcHitBusCycles)
+			next.Complete(done + llcHitBusCycles)
 		}
 		nextTimes[nextIdx], havePending[nextIdx] = next.NextIssueTime()
 		if maxSteps > 0 && res.Accesses >= maxSteps {

@@ -3,6 +3,7 @@ package tracker
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/cat"
 	"repro/internal/invariant"
@@ -17,9 +18,10 @@ import (
 //
 // SetMin counters are maintained incrementally: a counter bump rescans a
 // set only when the bumped entry held that set's minimum, and installs and
-// deletes adjust only the one set they touch. A cached global minimum with
-// a dirty flag replaces the per-miss scan of all SetMin counters. Both are
-// exactness-preserving, so tracker decisions are bit-identical to the
+// deletes adjust only the one set they touch. A cached global minimum and
+// a bitmask of the sets holding it replace the per-miss scan of all
+// SetMin counters, and an eviction visits only the masked sets. All of it
+// is exactness-preserving, so tracker decisions are bit-identical to the
 // rescan-everything formulation. Evictions delete the victim by the slot
 // the minimum search found it in, and misses answer from the table's
 // presence bitset, so neither re-hashes a row. The one event the
@@ -36,10 +38,12 @@ type CAT struct {
 	// math.MaxInt64 when the set is empty.
 	setMin [2][]int64
 
-	// gmin caches the minimum over all SetMin counters; it is stale only
-	// when gminDirty is set (a set holding the global minimum increased).
-	gmin      int64
-	gminDirty bool
+	// gmin caches the minimum over all SetMin counters, and bit s of
+	// atMin[ti] is set iff setMin[ti][s] == gmin. An empty mask means the
+	// last set at the minimum moved up: gmin is then stale, below every
+	// SetMin counter, and globalMin rebuilds both.
+	gmin  int64
+	atMin [2][]uint64
 
 	// relocs is the last observed tab.Relocations(), to detect cuckoo
 	// moves during installs.
@@ -88,20 +92,50 @@ func NewCAT(spec cat.Spec, capacity int, threshold int64, seed uint64) (*CAT, er
 		threshold: threshold,
 		capacity:  capacity,
 		tab:       cat.New[int64](spec, seed),
-		gmin:      math.MaxInt64,
 	}
 	for ti := 0; ti < 2; ti++ {
 		t.setMin[ti] = make([]int64, spec.Sets)
-		for s := range t.setMin[ti] {
-			t.setMin[ti][s] = math.MaxInt64
-		}
+		t.atMin[ti] = make([]uint64, (spec.Sets+63)/64)
 	}
+	t.Reset()
 	return t, nil
 }
 
-// recomputeSetMin rescans one set's counters and folds the change into
-// the cached global minimum.
-func (t *CAT) recomputeSetMin(ti, s int) {
+// setSetMin stores set s's exact minimum and folds it into the cached
+// global minimum and the at-minimum mask.
+func (t *CAT) setSetMin(ti, s int, min int64) {
+	t.setMin[ti][s] = min
+	w, bit := s>>6, uint64(1)<<(s&63)
+	switch {
+	case min < t.gmin:
+		t.gmin = min
+		clear(t.atMin[0])
+		clear(t.atMin[1])
+		t.atMin[ti][w] = bit
+	case min == t.gmin:
+		t.atMin[ti][w] |= bit
+	default:
+		// May empty the mask, leaving gmin below every set: stale.
+		t.atMin[ti][w] &^= bit
+	}
+}
+
+// rebuildMin recomputes the global minimum and the at-minimum mask from
+// the SetMin counters.
+func (t *CAT) rebuildMin() {
+	t.gmin = math.MaxInt64
+	clear(t.atMin[0])
+	clear(t.atMin[1])
+	for ti := 0; ti < 2; ti++ {
+		for s, m := range t.setMin[ti] {
+			t.setSetMin(ti, s, m)
+		}
+	}
+}
+
+// scanSetMin returns the minimum count in one set, or math.MaxInt64 when
+// the set is empty.
+func (t *CAT) scanSetMin(ti, s int) int64 {
 	min := int64(math.MaxInt64)
 	t.tab.ForEachInSet(ti, s, func(_ int, _ uint64, v *int64) bool {
 		if *v < min {
@@ -109,58 +143,42 @@ func (t *CAT) recomputeSetMin(ti, s int) {
 		}
 		return true
 	})
-	old := t.setMin[ti][s]
-	t.setMin[ti][s] = min
-	if t.gminDirty {
-		return
-	}
-	switch {
-	case min < t.gmin:
-		t.gmin = min
-	case min > old && old == t.gmin:
-		// The set that (possibly alone) held the global minimum moved up;
-		// recompute lazily on the next globalMin call.
-		t.gminDirty = true
-	}
+	return min
 }
 
-// recomputeAllSetMin rebuilds every SetMin counter and the global
-// minimum. Only needed after a cuckoo relocation inside the CAT, which is
-// astronomically rare with the paper's 6 extra ways.
+// recomputeSetMin rescans one set's counters and folds the change into
+// the cached global minimum.
+func (t *CAT) recomputeSetMin(ti, s int) { t.setSetMin(ti, s, t.scanSetMin(ti, s)) }
+
+// recomputeAllSetMin rebuilds every SetMin counter, the global minimum
+// and the mask. Only needed after a cuckoo relocation inside the CAT,
+// which is astronomically rare with the paper's 6 extra ways.
 func (t *CAT) recomputeAllSetMin() {
-	t.gmin = math.MaxInt64
 	for ti := 0; ti < 2; ti++ {
 		for s := range t.setMin[ti] {
-			min := int64(math.MaxInt64)
-			t.tab.ForEachInSet(ti, s, func(_ int, _ uint64, v *int64) bool {
-				if *v < min {
-					min = *v
-				}
-				return true
-			})
-			t.setMin[ti][s] = min
-			if min < t.gmin {
-				t.gmin = min
+			t.setMin[ti][s] = t.scanSetMin(ti, s)
+		}
+	}
+	t.rebuildMin()
+}
+
+// minStale reports whether the at-minimum mask is empty.
+func (t *CAT) minStale() bool {
+	for ti := 0; ti < 2; ti++ {
+		for _, w := range t.atMin[ti] {
+			if w != 0 {
+				return false
 			}
 		}
 	}
-	t.gminDirty = false
+	return true
 }
 
 // globalMin returns the minimum over the SetMin counters (the hardware
 // scans them in the shadow of the memory access; see the paper).
 func (t *CAT) globalMin() int64 {
-	if t.gminDirty {
-		min := int64(math.MaxInt64)
-		for ti := 0; ti < 2; ti++ {
-			for _, m := range t.setMin[ti] {
-				if m < min {
-					min = m
-				}
-			}
-		}
-		t.gmin = min
-		t.gminDirty = false
+	if t.minStale() {
+		t.rebuildMin()
 	}
 	return t.gmin
 }
@@ -238,22 +256,23 @@ func (t *CAT) ObserveN(row uint64, n int64) int {
 }
 
 // findMinEntry locates the first entry (in table, set, way order) whose
-// count equals min and returns its slot.
+// count equals min, the global minimum globalMin just returned, and
+// returns its slot. Only the sets in the at-minimum mask can hold one.
 func (t *CAT) findMinEntry(min int64) (ti, s, way int, found bool) {
 	for ti = 0; ti < 2; ti++ {
-		for s = range t.setMin[ti] {
-			if t.setMin[ti][s] != min {
-				continue
-			}
-			t.tab.ForEachInSet(ti, s, func(w int, _ uint64, v *int64) bool {
-				if *v == min {
-					way, found = w, true
-					return false
+		for wi, m := range t.atMin[ti] {
+			for ; m != 0; m &= m - 1 {
+				s = wi<<6 | bits.TrailingZeros64(m)
+				t.tab.ForEachInSet(ti, s, func(w int, _ uint64, v *int64) bool {
+					if *v == min {
+						way, found = w, true
+						return false
+					}
+					return true
+				})
+				if found {
+					return ti, s, way, true
 				}
-				return true
-			})
-			if found {
-				return ti, s, way, true
 			}
 		}
 	}
@@ -281,10 +300,7 @@ func (t *CAT) install(row uint64) int64 {
 		return cnt
 	}
 	if cnt < t.setMin[ti][s] {
-		t.setMin[ti][s] = cnt
-		if !t.gminDirty && cnt < t.gmin {
-			t.gmin = cnt
-		}
+		t.setSetMin(ti, s, cnt)
 	}
 	return cnt
 }
@@ -331,6 +347,5 @@ func (t *CAT) Reset() {
 			t.setMin[ti][s] = math.MaxInt64
 		}
 	}
-	t.gmin = math.MaxInt64
-	t.gminDirty = false
+	t.rebuildMin()
 }

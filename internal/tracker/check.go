@@ -22,8 +22,11 @@ var (
 // table and returns a typed *invariant.Violation for the first breach:
 //
 //   - tracker/setmin: every SetMin counter equals the exact minimum of
-//     its set (MaxInt64 when empty), and the cached global minimum
-//     agrees when its dirty flag is clear.
+//     its set (MaxInt64 when empty). When the at-minimum mask is
+//     nonempty, the cached global minimum is exact and the mask names
+//     exactly the sets at it; when empty, the cached value is stale and
+//     must sit below every set's minimum. No mask bit lies past the
+//     last set.
 //   - tracker/relocs: the memoized relocation counter matches the table's.
 //   - tracker/spill: no tracked count is below the spill counter (the
 //     Misra-Gries lower bound: estimates start at spill+1 and the spill
@@ -40,13 +43,7 @@ func (t *CAT) CheckInvariants() error {
 	gmin := int64(math.MaxInt64)
 	for ti := 0; ti < 2; ti++ {
 		for s := range t.setMin[ti] {
-			min := int64(math.MaxInt64)
-			t.tab.ForEachInSet(ti, s, func(_ int, _ uint64, v *int64) bool {
-				if *v < min {
-					min = *v
-				}
-				return true
-			})
+			min := t.scanSetMin(ti, s)
 			if t.setMin[ti][s] != min {
 				return invariant.Violatedf("tracker/setmin",
 					"SetMin[%d][%d] = %d, exact set minimum is %d", ti, s, t.setMin[ti][s], min)
@@ -56,9 +53,30 @@ func (t *CAT) CheckInvariants() error {
 			}
 		}
 	}
-	if !t.gminDirty && t.gmin != gmin {
-		return invariant.Violatedf("tracker/setmin",
-			"cached global minimum %d marked clean, exact minimum is %d", t.gmin, gmin)
+	if t.minStale() {
+		if t.gmin >= gmin {
+			return invariant.Violatedf("tracker/setmin",
+				"at-minimum mask empty, but cached global minimum %d is not below the exact minimum %d", t.gmin, gmin)
+		}
+	} else {
+		if t.gmin != gmin {
+			return invariant.Violatedf("tracker/setmin",
+				"cached global minimum %d marked current, exact minimum is %d", t.gmin, gmin)
+		}
+		for ti := 0; ti < 2; ti++ {
+			for s, m := range t.setMin[ti] {
+				if inMask := t.atMin[ti][s>>6]&(1<<(s&63)) != 0; inMask != (m == gmin) {
+					return invariant.Violatedf("tracker/setmin",
+						"at-minimum mask bit [%d][%d] is %v, but SetMin %d vs global minimum %d", ti, s, inMask, m, gmin)
+				}
+			}
+		}
+	}
+	for ti := 0; ti < 2; ti++ {
+		if tail := len(t.setMin[ti]) & 63; tail != 0 && t.atMin[ti][len(t.atMin[ti])-1]>>tail != 0 {
+			return invariant.Violatedf("tracker/setmin",
+				"at-minimum mask of table %d has bits past its %d sets", ti, len(t.setMin[ti]))
+		}
 	}
 	if t.relocs != t.tab.Relocations() {
 		return invariant.Violatedf("tracker/relocs",
@@ -160,12 +178,15 @@ func (t *CAT) CorruptCountForTest(row uint64, delta int64) bool {
 // CorruptSetMinForTest skews one SetMin counter.
 func (t *CAT) CorruptSetMinForTest(ti, s int, delta int64) { t.setMin[ti][s] += delta }
 
-// CorruptGminForTest overwrites the cached global minimum and clears its
-// dirty flag, so the staleness is invisible to the hot path.
+// CorruptGminForTest overwrites the cached global minimum after
+// refreshing a stale one, so the mask marks the wrong value current.
 func (t *CAT) CorruptGminForTest(v int64) {
+	t.globalMin()
 	t.gmin = v
-	t.gminDirty = false
 }
+
+// CorruptAtMinForTest flips set s's bit in table ti's at-minimum mask.
+func (t *CAT) CorruptAtMinForTest(ti, s int) { t.atMin[ti][s>>6] ^= 1 << (s & 63) }
 
 // CorruptRelocsForTest skews the memoized relocation counter.
 func (t *CAT) CorruptRelocsForTest(delta int) { t.relocs += delta }
