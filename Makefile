@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-micro paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments examples alloc-check profile shootout-smoke sweep-smoke clean
+.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-micro paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments experiments-check examples alloc-check profile shootout-smoke sweep-smoke clean
 
 all: build lint test
 
@@ -159,9 +159,18 @@ profile:
 bench-figures:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# Regenerate every table and figure (writes to stdout; ~20 min single-core).
+# Regenerate every table and figure (writes to stdout; about 40 s on a
+# 2-vCPU host).
 experiments:
 	$(GO) run ./cmd/rrs-experiments -exp all -scale 16 -epochs 1
+
+# experiments-check regenerates every table and figure and fails on any
+# byte of difference from the committed experiments_output.txt, which
+# EXPERIMENTS.md quotes.
+experiments-check:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/rrs-experiments -exp all -scale 16 -epochs 1 > "$$out" && \
+	diff -u experiments_output.txt "$$out" && echo "experiments_output.txt is current"
 
 examples:
 	$(GO) run ./examples/quickstart

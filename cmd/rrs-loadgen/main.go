@@ -253,7 +253,6 @@ func scrapeFleetCounters(ctx context.Context, targets []string) map[string]int64
 		"rrs_jobs_done_total", "rrs_jobs_shed_total", "rrs_cache_hits_total",
 		"rrs_fleet_forwards_total", "rrs_fleet_forward_failovers_total",
 		"rrs_fleet_proxied_total", "rrs_fleet_cache_fanout_hits_total",
-		"rrs_fleet_steals_total", "rrs_fleet_donations_accepted_total",
 		"rrs_fleet_replicated_total", "rrs_fleet_replicas_received_total",
 		"rrs_fleet_repair_replicated_total",
 	}

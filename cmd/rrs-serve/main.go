@@ -46,11 +46,13 @@
 // rendezvous hashing over the spec's content hash, non-owners forward
 // to the owner, job polls are proxied to the job's home node, health
 // probes (carrying the gossiped membership table) shrink the ring
-// around dead peers, idle nodes steal queued work from backed-up ones,
-// every node answers from the whole fleet's result stores, and each
-// completed result is replicated to its ring successor so a single
-// node death never costs a re-simulation (anti-entropy repair keeps
-// that invariant through churn). See internal/fleet, DESIGN.md §13–14.
+// around dead peers, a sweep's children are submitted to their own
+// ring owners as the sweep is expanded (so one sweep runs on every
+// node's workers), a cold run first asks the two nodes that should
+// hold its result, and each completed result is replicated to its ring
+// successor so a single node death never costs a re-simulation
+// (anti-entropy repair keeps that invariant through churn). See
+// internal/fleet, DESIGN.md §13–14.
 //
 // -admission-watermark N sheds new submissions with 429 + Retry-After
 // once the local backlog reaches N (0 disables), keeping latency
@@ -130,8 +132,6 @@ func run() error {
 		advertise     = flag.String("advertise", "", "base URL peers reach this node at (required with -join)")
 		watermark     = flag.Int("admission-watermark", 0, "shed submissions with 429 once the backlog reaches this depth (0 disables)")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "fleet peer health-probe cadence")
-		stealInterval = flag.Duration("steal-interval", 250*time.Millisecond, "idle-node work-stealing cadence (negative disables)")
-		leaseTimeout  = flag.Duration("lease-timeout", 30*time.Second, "how long a stolen job may stay out before it requeues locally")
 		replicaQueue  = flag.Int("replica-queue", 0, "bounded result-replication queue depth (0 = default 128; negative disables replication)")
 		repairEvery   = flag.Duration("repair-interval", 0, "anti-entropy replica-repair cadence (0 = default 30s; negative disables)")
 	)
@@ -202,8 +202,6 @@ func run() error {
 			Peers:            peers,
 			Service:          svcOpts,
 			ProbeInterval:    *probeInterval,
-			StealInterval:    *stealInterval,
-			LeaseTimeout:     *leaseTimeout,
 			ReplicationQueue: *replicaQueue,
 			RepairInterval:   *repairEvery,
 		})

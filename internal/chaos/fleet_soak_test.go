@@ -88,8 +88,6 @@ func bootFleetNode(t *testing.T, hm *hostmap, roster []fleet.Peer, self fleet.Pe
 		ProbeTimeout:  time.Second,
 		Rise:          1,
 		Fall:          2,
-		StealInterval: 100 * time.Millisecond,
-		LeaseTimeout:  10 * time.Second,
 	}
 	if mod != nil {
 		mod(&opts)

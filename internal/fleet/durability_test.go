@@ -43,7 +43,6 @@ func soloNode(t *testing.T, id string, mod func(o *Options)) *tfNode {
 		HTTPClient:    &http.Client{Timeout: 5 * time.Second},
 		Retry:         fastRetry,
 		FanoutTimeout: time.Second,
-		StealInterval: -1,
 	}
 	if mod != nil {
 		mod(&opts)
@@ -485,5 +484,55 @@ func TestFleetGossipEndpointAnswersWhileDraining(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("draining node's gossip answer %v lacks its own tombstone", answer.Members)
+	}
+}
+
+// TestFleetFanoutAsksOnlyOwnerAndSuccessor: a cold run asks only the
+// two nodes replication puts a result on, the hash's owner and its
+// successor, and still finds a result held only by the successor.
+func TestFleetFanoutAsksOnlyOwnerAndSuccessor(t *testing.T) {
+	nodes := startFleet(t, 4, nil)
+	var fetches atomic.Int64
+	for _, tn := range nodes {
+		inner := tn.swap.Load()
+		tn.swap.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/fleet/cache/") {
+				fetches.Add(1)
+			}
+			inner.ServeHTTP(w, r)
+		}))
+	}
+	roster := make([]Peer, len(nodes))
+	byID := map[string]*tfNode{}
+	for i, tn := range nodes {
+		roster[i] = tn.node.self
+		byID[tn.node.self.ID] = tn
+	}
+	// A spec that n1, the submitting node, neither owns nor succeeds.
+	var spec service.Spec
+	var order []Peer
+	for seed := uint64(1); ; seed++ {
+		spec = uniqueSpec(seed)
+		order = rank(spec.Hash(), roster)
+		if order[0].ID != "n1" && order[1].ID != "n1" {
+			break
+		}
+	}
+	byID[order[1].ID].node.Manager().InsertCached(spec.Hash(), sim.Result{IPC: 77})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	res, err := localClient(nodes[0]).Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.IPC != 77 {
+		t.Fatalf("IPC = %v, want the successor's replica (77)", res.IPC)
+	}
+	if runs := nodes[0].runs.Load(); runs != 0 {
+		t.Fatalf("n1 ran %d times, want 0 (the replica answers)", runs)
+	}
+	if got := fetches.Load(); got > 2 {
+		t.Fatalf("cold run made %d cache fetches, want at most 2", got)
 	}
 }

@@ -66,7 +66,7 @@ type tfNode struct {
 // startFleet brings up n in-process fleet nodes named n1..nN, each with
 // a 1-worker manager and a counting engine stub that returns
 // Result{IPC: seed}. mod tweaks each node's Options before New.
-// Background loops are NOT started — tests drive ProbeOnce/StealOnce
+// Background loops are NOT started — tests drive ProbeOnce
 // deterministically.
 func startFleet(t *testing.T, n int, mod func(i int, o *Options)) []*tfNode {
 	t.Helper()
@@ -99,7 +99,6 @@ func startFleet(t *testing.T, n int, mod func(i int, o *Options)) []*tfNode {
 			HTTPClient:    &http.Client{Timeout: 5 * time.Second},
 			Retry:         fastRetry,
 			FanoutTimeout: time.Second,
-			StealInterval: -1, // tests call StealOnce themselves
 		}
 		if mod != nil {
 			mod(i, &opts)

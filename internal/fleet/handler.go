@@ -21,9 +21,7 @@ import (
 //	POST /v1/fleet/replica        accept a result copy into the local store
 //	POST /v1/fleet/gossip         membership-table exchange (probe piggyback)
 //	GET  /v1/fleet/members        the local membership table
-//	POST /v1/fleet/steal          lend one queued job to a thief peer
-//	POST /v1/fleet/donate         accept a stolen job's result back
-//	GET  /v1/fleet/status         ring membership, load and lease state
+//	GET  /v1/fleet/status         ring membership and load
 //	/v1/fleet/local/*             the unrouted single-node API (peer traffic)
 //
 // Everything else (list, healthz, readyz, metrics) falls through to the
@@ -51,8 +49,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/fleet/replica", n.handleReplica)
 	mux.HandleFunc("POST /v1/fleet/gossip", n.handleGossip)
 	mux.HandleFunc("GET /v1/fleet/members", n.handleMembers)
-	mux.HandleFunc("POST /v1/fleet/steal", n.handleSteal)
-	mux.HandleFunc("POST /v1/fleet/donate", n.handleDonate)
 	mux.HandleFunc("GET /v1/fleet/status", n.handleStatus)
 
 	mux.Handle("/", local)
@@ -213,16 +209,12 @@ func (n *Node) handleMembers(w http.ResponseWriter, r *http.Request) {
 // of one node's opinion of the fleet.
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	backlog, busy, workers := n.mgr.Load()
-	n.mu.Lock()
-	lent := len(n.lent)
-	n.mu.Unlock()
 	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"self":               n.self,
 		"draining":           n.mgr.Draining(),
 		"backlog":            backlog,
 		"busy":               busy,
 		"workers":            workers,
-		"lent":               lent,
 		"peers":              n.det.Snapshot(),
 		"members":            n.Members(),
 		"membership_version": n.mem.currentVersion(),

@@ -29,11 +29,11 @@ type Options struct {
 	// fresh registry shared with the fleet counters.
 	Service service.Options
 	// HTTPClient carries all peer traffic — forwards, probes, proxies,
-	// steals. Tests inject fault-injecting or retargeting transports
-	// here. nil uses a 30 s-timeout default client.
+	// routed sweep children. Tests inject fault-injecting or retargeting
+	// transports here. nil uses a 30 s-timeout default client.
 	HTTPClient *http.Client
-	// Retry shapes forward/donate retry loops (resilience defaults
-	// apply to the zero value).
+	// Retry shapes forward and replica-push retry loops (resilience
+	// defaults apply to the zero value).
 	Retry resilience.Policy
 
 	// ProbeInterval is the failure-detector cadence (default 500 ms).
@@ -68,18 +68,6 @@ type Options struct {
 	// RepairBatch is how many held results one repair tick checks
 	// (default 16) — the loop is deliberately low-rate.
 	RepairBatch int
-
-	// StealInterval is the idle-node work-stealing cadence (default
-	// 250 ms; negative disables stealing).
-	StealInterval time.Duration
-	// StealThreshold is the minimum backlog a victim must have before
-	// it lends work (default 2 — stealing a lone queued job usually
-	// loses the race with the victim's own workers).
-	StealThreshold int
-	// LeaseTimeout is how long a stolen job may stay out before the
-	// victim reclaims and requeues it (default 30 s). It bounds the
-	// damage of a thief dying mid-run.
-	LeaseTimeout time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -116,15 +104,6 @@ func (o Options) withDefaults() Options {
 	if o.RepairBatch <= 0 {
 		o.RepairBatch = 16
 	}
-	if o.StealInterval == 0 {
-		o.StealInterval = 250 * time.Millisecond
-	}
-	if o.StealThreshold <= 0 {
-		o.StealThreshold = 2
-	}
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 30 * time.Second
-	}
 	return o
 }
 
@@ -134,16 +113,10 @@ func (o Options) withDefaults() Options {
 // prevention is structural, not a header convention.
 const internalPrefix = "/v1/fleet/local"
 
-// lease tracks one job lent to a thief.
-type lease struct {
-	job     *service.Job
-	thief   string
-	expires time.Time
-}
-
 // Node is one fleet member: a local manager plus the peer layer —
 // ring routing, failure detection, gossiped membership, forwarding,
-// stealing, cache fan-out, result replication and anti-entropy repair.
+// sweep-child routing, cache fan-out, result replication and
+// anti-entropy repair.
 type Node struct {
 	opts  Options
 	self  Peer
@@ -168,8 +141,6 @@ type Node struct {
 	repq chan replicaTask
 
 	mu        sync.Mutex
-	lent      map[string]*lease
-	stealIdx  int
 	repairIdx int
 
 	stop     chan struct{}
@@ -214,7 +185,6 @@ func New(opts Options) (*Node, error) {
 		mem:     newMembership(opts.Self.ID, opts.Peers),
 		hc:      opts.HTTPClient,
 		clients: make(map[string]clientEntry, len(opts.Peers)),
-		lent:    make(map[string]*lease),
 		stop:    make(chan struct{}),
 	}
 	if opts.ReplicationQueue > 0 {
@@ -233,10 +203,10 @@ func New(opts Options) (*Node, error) {
 	}
 	so.Run = n.fanoutRun(inner)
 	// Sweep children route to their ring owner by their own content hash
-	// (falling back to so.Run locally), so one sweep spreads fleet-wide.
-	so.RunChild = n.childRun(so.Run)
-	// Every locally computed result (including accepted steal donations)
-	// feeds the replication queue the moment it enters the result store.
+	// as the feeder links them, so one sweep spreads fleet-wide.
+	so.RouteChild = n.routeChild
+	// Every locally computed result feeds the replication queue the
+	// moment it enters the result store.
 	userOnResult := so.OnResult
 	so.OnResult = func(hash string, res sim.Result) {
 		if userOnResult != nil {
@@ -264,12 +234,6 @@ func (n *Node) registerMetrics() {
 		"rrs_fleet_proxy_misses_total":          "Proxied requests whose home node was unreachable (answered 404 so the client resubmits).",
 		"rrs_fleet_cache_fanout_checks_total":   "Runs that asked the fleet's caches before simulating.",
 		"rrs_fleet_cache_fanout_hits_total":     "Runs answered by a peer's result store instead of simulating.",
-		"rrs_fleet_steals_total":                "Jobs this node stole from a peer and completed.",
-		"rrs_fleet_steal_failures_total":        "Stolen runs that failed locally (the victim's lease reclaims the job).",
-		"rrs_fleet_lent_total":                  "Queued jobs lent to a thief peer.",
-		"rrs_fleet_donations_accepted_total":    "Stolen results donated back and accepted.",
-		"rrs_fleet_donations_stale_total":       "Donations dropped because the job already had a terminal state or was re-running.",
-		"rrs_fleet_reclaims_total":              "Stolen-job leases that expired and requeued locally.",
 		"rrs_fleet_peer_flaps_total":            "Peer routability transitions (either direction) after hysteresis.",
 		"rrs_fleet_replicated_total":            "Results pushed to their ring successor (completion-time replication plus repair).",
 		"rrs_fleet_replicas_received_total":     "Replica payloads accepted into the local result store.",
@@ -280,8 +244,8 @@ func (n *Node) registerMetrics() {
 		"rrs_fleet_membership_updates_total":    "Gossip exchanges that changed the local membership table.",
 		"rrs_fleet_joins_total":                 "Successful -join handshakes performed by this node.",
 		"rrs_fleet_no_owner_total":              "Submissions refused 503 because the live set was empty.",
-		"rrs_fleet_sweep_children_routed_total": "Sweep children executed on their remote ring owner.",
-		"rrs_fleet_sweep_children_local_total":  "Sweep children executed locally (self-owned or every remote candidate failed).",
+		"rrs_fleet_sweep_children_routed_total": "Sweep children submitted to a remote ring owner (or, after a failure, the next candidate).",
+		"rrs_fleet_sweep_children_local_total":  "Sweep children queued locally (self-owned or every remote candidate failed).",
 		"rrs_fleet_sweep_child_failovers_total": "Sweep-child placements moved to the next-ranked peer after the owner failed.",
 	} {
 		n.met.Counter(name, help)
@@ -294,26 +258,16 @@ func (n *Node) registerMetrics() {
 		func() float64 { return float64(len(n.repq)) })
 	n.met.Gauge("rrs_fleet_peers_live", "Routable peers, self included unless draining.",
 		func() float64 { return float64(len(n.liveSet())) })
-	n.met.Gauge("rrs_fleet_lent", "Jobs currently lent to thief peers.",
-		func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return float64(len(n.lent))
-		})
 }
 
 // Manager exposes the node's local manager (journal restore, tests).
 func (n *Node) Manager() *service.Manager { return n.mgr }
 
 // Start launches the background loops: failure-detector probes (which
-// carry the membership gossip), the idle work-stealing loop, the lease
-// reaper, the replicator, and the anti-entropy repair loop.
+// carry the membership gossip), the replicator, and the anti-entropy
+// repair loop.
 func (n *Node) Start() {
 	n.loop(n.opts.ProbeInterval, func(ctx context.Context) { n.det.ProbeOnce(ctx) })
-	if n.opts.StealInterval > 0 {
-		n.loop(n.opts.StealInterval, func(ctx context.Context) { n.StealOnce(ctx) })
-	}
-	n.loop(reaperInterval(n.opts.LeaseTimeout), func(context.Context) { n.reapLeases() })
 	if n.repq != nil {
 		n.wg.Add(1)
 		go func() {
@@ -324,13 +278,6 @@ func (n *Node) Start() {
 	if n.opts.RepairInterval > 0 {
 		n.loop(n.opts.RepairInterval, func(ctx context.Context) { n.RepairOnce(ctx) })
 	}
-}
-
-func reaperInterval(lease time.Duration) time.Duration {
-	if iv := lease / 4; iv < time.Second {
-		return iv
-	}
-	return time.Second
 }
 
 // loop runs fn every interval until Close.
@@ -366,10 +313,9 @@ func (n *Node) Close() {
 
 // StartDrain flips the node into drain mode: /readyz answers 503 (so
 // peers' failure detectors pull this node from their rings within a
-// probe round), Submit refuses new work, the steal loop goes idle, and
-// the membership row is tombstoned — the leave is permanent and spreads
-// through gossip, unlike a crash, which the detector merely routes
-// around.
+// probe round), Submit refuses new work, and the membership row is
+// tombstoned — the leave is permanent and spreads through gossip,
+// unlike a crash, which the detector merely routes around.
 func (n *Node) StartDrain() {
 	n.mgr.StartDrain()
 	if n.mem.leave() {
@@ -546,13 +492,12 @@ func (n *Node) clientFor(p Peer) *service.Client {
 }
 
 // fanoutRun wraps the manager's executor with the fleet-wide cache
-// lookup: before simulating, ask every routable peer's result store for
-// the spec's content hash; any hit is returned as this job's result
+// lookup: before simulating, ask the peers that should hold the spec's
+// content hash (peerCached); any hit is returned as this job's result
 // (and enters the local cache through the normal completion path).
 func (n *Node) fanoutRun(inner service.RunFunc) service.RunFunc {
 	return func(ctx context.Context, spec service.Spec, progress func(done, total int64)) (sim.Result, error) {
 		if res, ok := n.peerCached(ctx, spec.Hash()); ok {
-			n.met.Inc("rrs_fleet_cache_fanout_hits_total", 1)
 			if progress != nil {
 				progress(1, 1)
 			}
@@ -568,14 +513,25 @@ type cacheEnvelope struct {
 	Result sim.Result `json:"result"`
 }
 
-// peerCached fans a cache lookup out to the routable peers — the
-// detector has already dropped dead ones — and returns the first hit.
-// Each fetch gets its own FanoutPeerTimeout slice of the FanoutTimeout
-// budget, so one hung peer times out alone instead of pinning every
-// cold submit to the full fan-out deadline. Best-effort: errors and
-// timeouts are misses.
+// peerCached asks the hash's ring owner and that owner's successor,
+// self skipped, and returns the first hit. Those are the two nodes
+// replication puts a result on (the node that computed it, normally the
+// owner, plus the first other live peer in rank order); anti-entropy
+// repair restores that placement after churn, so asking the rest of the
+// ring would only multiply the cost of every cold run. Each fetch gets
+// its own FanoutPeerTimeout slice of the FanoutTimeout budget, so one
+// hung peer times out alone instead of pinning every cold submit to the
+// full fan-out deadline. Best-effort: errors and timeouts are misses.
 func (n *Node) peerCached(ctx context.Context, hash string) (sim.Result, bool) {
-	peers := n.det.Routable()
+	var peers []Peer
+	for i, p := range rank(hash, n.liveSet()) {
+		if i == 2 {
+			break
+		}
+		if p.ID != n.self.ID {
+			peers = append(peers, p)
+		}
+	}
 	if len(peers) == 0 {
 		return sim.Result{}, false
 	}
@@ -597,6 +553,7 @@ func (n *Node) peerCached(ctx context.Context, hash string) (sim.Result, bool) {
 	}
 	for range peers {
 		if a := <-ch; a.ok {
+			n.met.Inc("rrs_fleet_cache_fanout_hits_total", 1)
 			return a.res, true
 		}
 	}

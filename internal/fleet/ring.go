@@ -3,8 +3,9 @@
 // rendezvous hashing over the spec content hash and the live peer set,
 // non-owners forward to the owner with retry/backoff, and a health-gated
 // failure detector shrinks the ring so work re-routes when a node dies.
-// Idle nodes steal queued work from backed-up peers, and every node
-// consults the whole fleet's result stores before re-running a spec.
+// A sweep's children go to their own owners as the sweep expands, and a
+// node asks the peers that should hold a spec's result before
+// re-running it.
 //
 // The design leans on two properties the single-node service already
 // has: submissions are idempotent (content-hash coalescing), and the

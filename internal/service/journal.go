@@ -224,19 +224,23 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// append writes one record as a JSONL line and syncs it to disk.
-func (j *Journal) append(rec journalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
+// append writes recs as JSONL lines in one write and syncs them to
+// disk.
+func (j *Journal) append(recs ...journalRecord) error {
+	var lines []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		lines = append(append(lines, line...), '\n')
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return nil
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(lines); err != nil {
 		return err
 	}
 	return j.f.Sync()

@@ -51,8 +51,11 @@ type Job struct {
 	state    State
 	progress float64 // 0..1, driven by the sim progress hook
 	cacheHit bool
-	child    bool // expanded from a sweep: runs through Options.RunChild
-	attempts int  // completed run attempts (retries = attempts - 1)
+	// remote marks a sweep child Options.RouteChild placed on another
+	// node: it holds no worker, and it is journaled only once it is
+	// done, its accept and terminal lines written together.
+	remote   bool
+	attempts int // completed run attempts (retries = attempts - 1)
 	err      string
 	// finishing marks a claimed terminal transition whose record is
 	// still being journaled. It bars every other transition; readers
@@ -194,19 +197,26 @@ type Options struct {
 	// Chaos tests wrap an executor with injected faults here; it is also
 	// the seam for alternative backends.
 	Run RunFunc
-	// RunChild, when non-nil, executes jobs expanded from a sweep
-	// instead of Run. The fleet layer hooks per-child rendezvous routing
-	// here (children route by their own content hash, so one sweep
-	// spreads across the fleet); nil runs children through Run.
-	RunChild RunFunc
+	// RouteChild, when non-nil, places each sweep child the feeder links
+	// that this node neither holds a result for nor has in flight. ctx
+	// ends when the sweep is cancelled or the manager stops taking work.
+	// A nil wait queues the child here like any job. A non-nil wait
+	// means the child was accepted elsewhere: the manager calls it on a
+	// goroutine that holds no worker and settles the child's record with
+	// its outcome. That record is journaled only if it ends done, so a
+	// resumed sweep routes an unfinished child again. ErrQueueFull and
+	// ErrOverloaded make the feeder back off and retry. The fleet layer
+	// routes children to their ring owner here (by their own content
+	// hash, so one sweep spreads across the fleet); nil queues them all.
+	RouteChild func(ctx context.Context, spec Spec) (wait func(ctx context.Context) (sim.Result, error), err error)
 	// OnResult, when non-nil, observes every result this manager computes
-	// (or accepts as a work-stealing donation) the moment it enters the
-	// result store, already Timeline- and Mitigation-stripped — exactly
-	// the bytes a peer's cache lookup would see. The fleet layer hooks
-	// result replication here. It is called from worker goroutines and
-	// must not block; it is NOT called for cache hits, journal replays, or
-	// results inserted via InsertCached (a replica must never re-replicate
-	// from the receiving side).
+	// the moment it enters the result store, already Timeline- and
+	// Mitigation-stripped — exactly the bytes a peer's cache lookup would
+	// see. The fleet layer hooks result replication here. It is called
+	// from worker goroutines and must not block; it is NOT called for
+	// cache hits, journal replays, results a routed child brought back,
+	// or results inserted via InsertCached (a replica must never
+	// re-replicate from the receiving side).
 	OnResult func(hash string, res sim.Result)
 	// Metrics receives the service metrics (nil = a private registry).
 	Metrics *Metrics
@@ -224,13 +234,18 @@ type Manager struct {
 	seq      uint64
 	closed   bool
 	draining bool // drain mode: intake refused, cancellations journal-requeue
+	// feeding is the parent of every sweep feeder's context; StartDrain
+	// and Shutdown cancel it (stopFeeding), which ends a child placement
+	// RouteChild is still making.
+	feeding     context.Context
+	stopFeeding context.CancelFunc
 
 	// results is the node's one result store, keyed by spec content
-	// hash: every result this node computed, accepted as a donation,
-	// replayed from its journal or received as a replica. Nothing is
-	// evicted — an entry is about the size of the job record that comes
-	// with it, and the engine is deterministic, so an entry never goes
-	// stale (Remove leaves it in place).
+	// hash: every result this node computed, brought back from a routed
+	// sweep child, replayed from its journal or received as a replica.
+	// Nothing is evicted — an entry is about the size of the job record
+	// that comes with it, and the engine is deterministic, so an entry
+	// never goes stale (Remove leaves it in place).
 	resMu   sync.RWMutex
 	results map[string]sim.Result
 
@@ -242,7 +257,9 @@ type Manager struct {
 	sweepSeq      uint64
 	sweepWG       sync.WaitGroup
 
-	busy    int64 // workers mid-run, under mu
+	busy int64 // workers mid-run, under mu
+	// workers counts the pool's goroutines and the waits of routed sweep
+	// children; both are added only under mu while the manager is open.
 	workers sync.WaitGroup
 
 	// lastRun holds hardware-level aggregates folded from the most
@@ -253,9 +270,7 @@ type Manager struct {
 
 	// runJob is the simulation entry point; tests substitute a stub to
 	// make scheduling behaviour observable without real simulations.
-	// runChild, when non-nil, replaces it for sweep-expanded jobs.
-	runJob   RunFunc
-	runChild RunFunc
+	runJob RunFunc
 }
 
 // lastRunStats are per-run occupancy/stall aggregates derived from the
@@ -299,10 +314,10 @@ func NewManager(opts Options) *Manager {
 		sweepInflight: make(map[string]*Sweep),
 		runJob:        RunSpec,
 	}
+	m.feeding, m.stopFeeding = context.WithCancel(context.Background())
 	if opts.Run != nil {
 		m.runJob = opts.Run
 	}
-	m.runChild = opts.RunChild
 	m.registerMetrics()
 	for i := 0; i < opts.Workers; i++ {
 		m.workers.Add(1)
@@ -471,13 +486,14 @@ func (m *Manager) countState(s State) int {
 // Metrics exposes the registry (for the HTTP layer).
 func (m *Manager) Metrics() *Metrics { return m.met }
 
-// journal appends rec if a journal is configured, degrading to a metric
-// on failure — a full disk must not take the serving path down with it.
-func (m *Manager) journal(rec journalRecord) {
+// journal appends recs in one write if a journal is configured,
+// degrading to a metric on failure — a full disk must not take the
+// serving path down with it.
+func (m *Manager) journal(recs ...journalRecord) {
 	if m.opts.Journal == nil {
 		return
 	}
-	if err := m.opts.Journal.append(rec); err != nil {
+	if err := m.opts.Journal.append(recs...); err != nil {
 		m.met.Inc("rrs_journal_errors_total", 1)
 	}
 }
@@ -489,15 +505,17 @@ func (m *Manager) journal(rec journalRecord) {
 // the job is queued FIFO. ErrQueueFull and ErrClosed report backpressure
 // and shutdown.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
-	j, _, err := m.submit(spec, false)
+	j, _, err := m.submit(context.Background(), spec, false)
 	return j, err
 }
 
-// submit is Submit plus the sweep feeder's entry point: child marks the
-// job as sweep-expanded (it runs through Options.RunChild), and the
+// submit is Submit plus the sweep feeder's entry point: child sends a
+// job that needs a run through Options.RouteChild under ctx, and the
 // returned coalesced flag tells the feeder whether an existing job
-// absorbed the submission.
-func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err error) {
+// absorbed the submission. A refused submission is counted as neither
+// submitted nor a cache miss, so a caller retrying a full queue does
+// not inflate either.
+func (m *Manager) submit(ctx context.Context, spec Spec, child bool) (j *Job, coalesced bool, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -532,16 +550,14 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 		seq:       m.seq,
 		spec:      norm,
 		hash:      hash,
-		child:     child,
 		state:     StateQueued,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
 	m.mu.Unlock()
 
-	m.met.Inc("rrs_jobs_submitted_total", 1)
-
 	if _, ok := m.CachedResult(j.hash); ok {
+		m.met.Inc("rrs_jobs_submitted_total", 1)
 		m.met.Inc("rrs_cache_hits_total", 1)
 		m.met.Inc("rrs_jobs_done_total", 1)
 		j.state = StateDone
@@ -556,7 +572,21 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 		m.mu.Unlock()
 		return j, false, nil
 	}
-	m.met.Inc("rrs_cache_misses_total", 1)
+
+	if child && m.opts.RouteChild != nil {
+		wait, err := m.opts.RouteChild(ctx, norm)
+		if err != nil {
+			return nil, false, err
+		}
+		if wait != nil {
+			m.met.Inc("rrs_jobs_submitted_total", 1)
+			m.met.Inc("rrs_cache_misses_total", 1)
+			if err := m.await(j, wait); err != nil {
+				return nil, false, err
+			}
+			return j, false, nil
+		}
+	}
 
 	// Admission happens before the job becomes visible: a refused job is
 	// never indexed, coalesced onto or journaled, so a refusal costs no
@@ -577,6 +607,7 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 		return nil, false, err
 	}
 
+	m.met.Inc("rrs_jobs_submitted_total", 1)
 	m.mu.Lock()
 	if prior, ok := m.inflight[hash]; ok {
 		// An identical submission was admitted since the check above.
@@ -585,6 +616,7 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 		m.met.Inc("rrs_jobs_coalesced_total", 1)
 		return prior, true, nil
 	}
+	m.met.Inc("rrs_cache_misses_total", 1)
 	m.jobs[j.id] = j
 	m.inflight[j.hash] = j
 	m.mu.Unlock()
@@ -600,6 +632,41 @@ func (m *Manager) submit(spec Spec, child bool) (j *Job, coalesced bool, err err
 		m.met.Inc("rrs_jobs_cancelled_total", 1)
 	}
 	return j, false, nil
+}
+
+// await tracks j, a child RouteChild placed on another node, as running
+// until wait returns. The wait runs on a goroutine of its own, so the
+// child holds no worker; Cancel, Drain and Shutdown end it through
+// j.cancel like a local run. The record is not indexed for coalescing:
+// wait may fall back to a local submission of the same spec, which must
+// not coalesce onto the record it is settling.
+func (m *Manager) await(j *Job, wait func(context.Context) (sim.Result, error)) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	j.remote = true
+	j.state = StateRunning
+	j.started = time.Now()
+	j.cancel = cancel
+	m.mu.Lock()
+	switch {
+	case m.closed:
+		m.mu.Unlock()
+		cancel()
+		return ErrClosed
+	case m.draining:
+		m.mu.Unlock()
+		cancel()
+		return ErrDraining
+	}
+	m.jobs[j.id] = j
+	m.workers.Add(1)
+	m.mu.Unlock()
+	go func() {
+		defer m.workers.Done()
+		defer cancel()
+		res, err := wait(ctx)
+		m.conclude(j, res, err, 0)
+	}()
+	return nil
 }
 
 // Get returns a job by id.
@@ -795,16 +862,19 @@ func (m *Manager) runOne(j *Job) {
 		j.mu.Unlock()
 	}
 
-	fn := m.runJob
-	if j.child && m.runChild != nil {
-		fn = m.runChild
-	}
-	res, err := m.safeRun(ctx, fn, j.spec, progress)
+	res, err := m.safeRun(ctx, m.runJob, j.spec, progress)
 
 	m.mu.Lock()
 	m.busy--
 	m.mu.Unlock()
+	m.conclude(j, res, err, timeout)
+}
 
+// conclude settles the outcome of j's run (or, for a routed child, its
+// wait). A transient failure of a local run goes back to the queue
+// while the retry budget lasts; a routed child's wait has already
+// walked the ring, so its failures are final.
+func (m *Manager) conclude(j *Job, res sim.Result, err error, timeout time.Duration) {
 	switch {
 	case err == nil:
 		// Drop the live hardware model before the result outlives the
@@ -826,7 +896,7 @@ func (m *Manager) runOne(j *Job) {
 	case errors.Is(err, context.DeadlineExceeded):
 		m.finish(j, StateFailed, fmt.Sprintf("timed out after %s", timeout))
 		m.met.Inc("rrs_jobs_failed_total", 1)
-	case resilience.IsTransient(err) && m.requeue(j, err):
+	case !j.remote && resilience.IsTransient(err) && m.requeue(j, err):
 		// Re-enqueued for another attempt; not terminal yet.
 	default:
 		m.finish(j, StateFailed, err.Error())
@@ -892,12 +962,14 @@ func (m *Manager) finish(j *Job, state State, errMsg string, result ...*sim.Resu
 	// Drain semantics: a cancellation during drain is "ran out of time",
 	// not "the client gave up". Withholding the terminal record leaves
 	// the accepted record unmatched, so the next startup's journal
-	// replay re-enqueues the job instead of losing it.
-	withhold := draining && state == StateCancelled
+	// replay re-enqueues the job instead of losing it. A routed child
+	// is journaled only done: without a record its resumed sweep routes
+	// it again.
+	withhold := draining && state == StateCancelled && !j.remote
 	if withhold {
 		m.met.Inc("rrs_jobs_requeued_total", 1)
 	}
-	m.settle(j, state, errMsg, res, !withhold)
+	m.settle(j, state, errMsg, res, !withhold && (!j.remote || state == StateDone))
 }
 
 // settle completes the terminal transition the caller claimed by
@@ -907,13 +979,18 @@ func (m *Manager) finish(j *Job, state State, errMsg string, result ...*sim.Resu
 // and the closed done channel are published only after the append
 // returns, so nothing reports a job done before its terminal record is
 // durable. The result is stored before the state flips, so no reader
-// sees a done job whose result the store does not hold.
+// sees a done job whose result the store does not hold. A routed
+// child has no accept line yet; it goes out in the same write as the
+// terminal line.
 func (m *Manager) settle(j *Job, state State, errMsg string, res *sim.Result, journal bool) {
 	j.cancel = nil
 	finished := time.Now()
 	rec := terminalRecord(j, state, errMsg, finished, res)
 	j.mu.Unlock()
-	if journal {
+	switch {
+	case journal && j.remote:
+		m.journal(acceptedRecord(j), rec)
+	case journal:
 		m.journal(rec)
 	}
 	if res != nil {
@@ -927,7 +1004,7 @@ func (m *Manager) settle(j *Job, state State, errMsg string, res *sim.Result, jo
 		j.progress = 1
 	}
 	j.mu.Unlock()
-	if res != nil && m.opts.OnResult != nil {
+	if res != nil && !j.remote && m.opts.OnResult != nil {
 		m.opts.OnResult(j.hash, *res)
 	}
 	m.retire(j)
@@ -941,6 +1018,7 @@ func (m *Manager) StartDrain() {
 	m.mu.Lock()
 	m.draining = true
 	m.mu.Unlock()
+	m.stopFeeding()
 }
 
 // Draining reports whether the manager is in drain mode or closed —
@@ -955,8 +1033,7 @@ func (m *Manager) Draining() bool {
 func (m *Manager) Backlog() int { return m.queue.Len() }
 
 // Load reports the serving pressure: queued backlog, workers mid-run,
-// and the pool size. The fleet's steal loop uses it to decide when this
-// node is idle enough to take a peer's work.
+// and the pool size, as the fleet's status endpoint shows them.
 func (m *Manager) Load() (backlog, busy, workers int) {
 	m.mu.Lock()
 	busy = int(m.busy)
@@ -976,7 +1053,7 @@ func (m *Manager) CachedResult(hash string) (sim.Result, bool) {
 }
 
 // store is the one write path for results: settle (local runs and
-// steal donations), Restore (journal replay) and InsertCached
+// routed children), Restore (journal replay) and InsertCached
 // (replicas).
 func (m *Manager) store(hash string, res sim.Result) {
 	m.resMu.Lock()
@@ -1022,9 +1099,9 @@ wait:
 		}
 	}
 
-	// Stop the pool. Anything still queued (including jobs lent to a
-	// fleet peer, which live outside the fifo) or running is cancelled
-	// now — under drain mode finish() withholds their terminal records.
+	// Stop the pool. Anything still queued or running (routed sweep
+	// children included) is cancelled now — under drain mode finish()
+	// withholds their terminal records.
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
@@ -1042,8 +1119,7 @@ wait:
 		case running:
 			m.Cancel(j.ID())
 		default:
-			// Queued but not in the fifo: lent to a thief that never
-			// donated, or raced the queue close.
+			// Queued but not in the fifo: it raced the queue close.
 			m.finish(j, StateCancelled, "drained: will replay on restart")
 			m.met.Inc("rrs_jobs_cancelled_total", 1)
 		}
@@ -1058,67 +1134,6 @@ wait:
 		return ctx.Err()
 	}
 	return nil
-}
-
-// StealQueued pops the oldest queued job off the run queue for remote
-// execution, leaving its record — and its client-visible id — in place.
-// The caller must either deliver a result via CompleteExternal or give
-// the job back via RequeueStolen; a fleet node guards that obligation
-// with a lease and reclaims expired ones.
-func (m *Manager) StealQueued() (*Job, bool) {
-	if m.Draining() {
-		return nil, false
-	}
-	for {
-		j, ok := m.queue.TryPop()
-		if !ok {
-			return nil, false
-		}
-		j.mu.Lock()
-		queued := j.state == StateQueued && !j.finishing
-		j.mu.Unlock()
-		if queued {
-			return j, true
-		}
-		// Cancelled while waiting; skip it like a worker would.
-	}
-}
-
-// RequeueStolen returns a stolen job to the local queue (thief gone,
-// lease expired). If the queue is no longer accepting, the job is
-// cancelled — under drain that withholds the terminal record, so it
-// still replays on restart.
-func (m *Manager) RequeueStolen(j *Job) {
-	j.mu.Lock()
-	queued := j.state == StateQueued && !j.finishing
-	j.mu.Unlock()
-	if !queued {
-		return
-	}
-	if err := m.queue.Push(j); err != nil {
-		m.finish(j, StateCancelled, fmt.Sprintf("stolen job could not requeue: %v", err))
-		m.met.Inc("rrs_jobs_cancelled_total", 1)
-	}
-}
-
-// CompleteExternal finishes a stolen job with a result computed
-// elsewhere (a fleet thief's donation). Reports false when the job
-// already reached a terminal state — a duplicate donation, or a local
-// re-run that won the race — in which case the result is dropped and
-// exactly-once delivery is preserved by the job's single terminal
-// state.
-func (m *Manager) CompleteExternal(j *Job, res sim.Result) bool {
-	j.mu.Lock()
-	if j.state.terminal() || j.finishing || j.state == StateRunning {
-		j.mu.Unlock()
-		return false
-	}
-	j.mu.Unlock()
-	res.Mitigation = nil
-	res.Timeline = nil
-	m.finish(j, StateDone, "", &res)
-	m.met.Inc("rrs_jobs_done_total", 1)
-	return true
 }
 
 // InsertCached stores an externally computed result with no job record
@@ -1157,6 +1172,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 	m.closed = true
 	m.mu.Unlock()
+	m.stopFeeding()
 
 	for _, j := range m.queue.Close() {
 		m.finish(j, StateCancelled, "server shutting down")

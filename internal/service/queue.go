@@ -126,22 +126,6 @@ func (q *fifo) forcePush(j *Job) error {
 	return nil
 }
 
-// TryPop removes the oldest job without blocking; ok is false when the
-// queue is empty or closed. The work-stealing path uses it: a steal
-// must never block a handler on an empty queue.
-func (q *fifo) TryPop() (j *Job, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || len(q.items) == 0 {
-		return nil, false
-	}
-	j = q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = nil
-	q.items = q.items[:len(q.items)-1]
-	return j, true
-}
-
 // Close marks the queue closed, wakes all poppers and returns the jobs
 // still waiting (in FIFO order) so the manager can cancel them.
 func (q *fifo) Close() []*Job {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -20,7 +21,7 @@ import (
 // child jobs deduplicated by content hash. Children are ordinary jobs —
 // they coalesce with concurrent submissions, hit the result store, are
 // journaled, and (under internal/fleet) route to their ring owner by
-// their own hash — so resubmitting a finished sweep is answered almost
+// their own hash as the feeder links them — so resubmitting a finished sweep is answered almost
 // entirely from cache, and a kill -9 mid-sweep resumes from the
 // completed children after journal replay re-expands the parent.
 
@@ -210,7 +211,8 @@ type Sweep struct {
 	state     State
 	err       string
 	cancelled bool
-	cacheHits int // children answered from the result store at link time
+	cacheHits int                // children answered from the result store at link time
+	stop      context.CancelFunc // ends the feeder's context; set while it runs
 
 	submitted time.Time
 	finished  time.Time
@@ -472,63 +474,86 @@ func specHashes(specs []Spec) []string {
 	return hs
 }
 
+// admission paces retries against a full queue: the first wait is at
+// most 2 ms and the bound doubles to 100 ms, with no attempt limit.
+var admission = resilience.Policy{MaxAttempts: -1,
+	BaseDelay: 2 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
+
+// AwaitAdmission calls submit until it stops failing for want of room
+// (ErrQueueFull or ErrOverloaded, from this node's queue or an owner's
+// 429 through Options.RouteChild), backing off between tries. It
+// returns submit's first other outcome, or ctx's error.
+func AwaitAdmission(ctx context.Context, submit func() error) error {
+	return resilience.Do(ctx, admission, func(context.Context) error {
+		err := submit()
+		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrOverloaded) {
+			return resilience.MarkTransient(err)
+		}
+		return resilience.MarkPermanent(err)
+	})
+}
+
 // runSweep is the per-sweep feeder and watcher. The feed half submits
-// each child, retrying queue backpressure — the journaled parent makes
-// abandoning on shutdown safe, replay resumes the expansion. The watch
-// half waits for every linked child's terminal state and finalizes.
+// each child, waiting out queue backpressure — the journaled parent
+// makes abandoning on shutdown safe, replay resumes the expansion. The
+// watch half waits for every linked child's terminal state and
+// finalizes.
 func (m *Manager) runSweep(sw *Sweep) {
 	defer m.sweepWG.Done()
+	ctx, stop := context.WithCancel(m.feeding)
+	defer stop()
+	sw.mu.Lock()
+	sw.stop = stop
+	if sw.cancelled {
+		stop() // CancelSweep came before the feeder started
+	}
+	sw.mu.Unlock()
 feed:
 	for i, spec := range sw.specs {
-		for {
-			if sw.isCancelled() {
-				break feed
+		j := sw.resumed[sw.hashes[i]]
+		var err error
+		if j == nil {
+			err = AwaitAdmission(ctx, func() (err error) {
+				j, err = m.submitSweepChild(ctx, spec)
+				return err
+			})
+		}
+		switch {
+		case err == nil:
+		case sw.isCancelled():
+			break feed
+		case errors.Is(err, ErrClosed), errors.Is(err, ErrDraining), ctx.Err() != nil:
+			// Process going down. Leave the sweep unfinished: its
+			// accepted record has no terminal line, so the next
+			// startup's replay re-expands and resumes it.
+			return
+		default:
+			// A child this build refuses (possible only for a journal
+			// from a different build, since Expand validated at
+			// submission). Fail the sweep rather than loop forever.
+			sw.mu.Lock()
+			if sw.err == "" {
+				sw.err = fmt.Sprintf("child %s: %v", spec.Hash()[:12], err)
 			}
-			j, err := sw.resumed[sw.hashes[i]], error(nil)
-			if j == nil {
-				j, err = m.submitSweepChild(spec)
-			}
-			if err == nil {
-				sw.mu.Lock()
-				sw.children = append(sw.children, j)
-				cancelled := sw.cancelled
-				sw.mu.Unlock()
-				if cancelled {
-					// CancelSweep may have snapshotted the children before
-					// this link and missed the job we just submitted; cancel
-					// it here so a cancelled sweep never runs an extra child.
-					m.Cancel(j.ID())
-					break feed
-				}
-				if v := j.Snapshot(); v.CacheHit {
-					sw.mu.Lock()
-					sw.cacheHits++
-					sw.mu.Unlock()
-					m.met.Inc("rrs_sweep_children_cached_total", 1)
-				}
-				break
-			}
-			switch {
-			case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
-				// The queue is smaller than the sweep; wait for workers
-				// to make room rather than dropping the child.
-				time.Sleep(2 * time.Millisecond)
-			case errors.Is(err, ErrClosed), errors.Is(err, ErrDraining):
-				// Process going down. Leave the sweep unfinished: its
-				// accepted record has no terminal line, so the next
-				// startup's replay re-expands and resumes it.
-				return
-			default:
-				// A child this build refuses (possible only for a journal
-				// from a different build, since Expand validated at
-				// submission). Fail the sweep rather than loop forever.
-				sw.mu.Lock()
-				if sw.err == "" {
-					sw.err = fmt.Sprintf("child %s: %v", spec.Hash()[:12], err)
-				}
-				sw.mu.Unlock()
-				break feed
-			}
+			sw.mu.Unlock()
+			break feed
+		}
+		sw.mu.Lock()
+		sw.children = append(sw.children, j)
+		cancelled := sw.cancelled
+		sw.mu.Unlock()
+		if cancelled {
+			// CancelSweep may have snapshotted the children before this
+			// link and missed the job we just submitted; cancel it here
+			// so a cancelled sweep never runs an extra child.
+			m.Cancel(j.ID())
+			break feed
+		}
+		if v := j.Snapshot(); v.CacheHit {
+			sw.mu.Lock()
+			sw.cacheHits++
+			sw.mu.Unlock()
+			m.met.Inc("rrs_sweep_children_cached_total", 1)
 		}
 	}
 	sw.resumed = nil // feeding is over; drop the replay's job index
@@ -542,10 +567,10 @@ feed:
 }
 
 // submitSweepChild submits one expanded child, counting coalesced
-// acceptances, and marks fresh jobs as sweep children so they run
-// through Options.RunChild (the fleet's by-hash routing seam).
-func (m *Manager) submitSweepChild(spec Spec) (*Job, error) {
-	j, coalesced, err := m.submit(spec, true)
+// acceptances. A child that needs a run goes through
+// Options.RouteChild (the fleet's by-hash routing seam).
+func (m *Manager) submitSweepChild(ctx context.Context, spec Spec) (*Job, error) {
+	j, coalesced, err := m.submit(ctx, spec, true)
 	if err != nil {
 		return nil, err
 	}
@@ -652,7 +677,11 @@ func (m *Manager) CancelSweep(id string) (ok bool, err error) {
 	}
 	sw.cancelled = true
 	children := append([]*Job(nil), sw.children...)
+	stop := sw.stop
 	sw.mu.Unlock()
+	if stop != nil {
+		stop() // ends a placement or backoff the feeder is in
+	}
 	for _, j := range children {
 		m.Cancel(j.ID())
 	}

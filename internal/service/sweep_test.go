@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -651,5 +652,184 @@ func TestSweepHTTPErrors(t *testing.T) {
 				t.Errorf("body missing %q:\n%s", tc.wantSubstr, raw)
 			}
 		})
+	}
+}
+
+// TestSweepRoutedChildrenHoldNoWorker: children RouteChild places on
+// another node wait on goroutines of their own, so a one-worker manager
+// still runs the children it keeps. Cancelling the sweep ends their
+// waits, and a routed child that never finished is never journaled.
+func TestSweepRoutedChildrenHoldNoWorker(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	waiting := make(chan struct{}, 8) // more than the sweep's 2 routed children
+	m, j, _ := journalManager(t, path, Options{
+		Workers: 1,
+		RouteChild: func(_ context.Context, spec Spec) (func(context.Context) (sim.Result, error), error) {
+			if spec.Seed%2 == 1 {
+				return nil, nil // odd seeds are queued here
+			}
+			return func(ctx context.Context) (sim.Result, error) {
+				waiting <- struct{}{}
+				<-ctx.Done()
+				return sim.Result{}, ctx.Err()
+			}, nil
+		},
+	}, func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
+		return sim.Result{IPC: float64(spec.Seed)}, nil
+	})
+	sw, _, err := m.SubmitSweep(sweepOf(1, 2, 3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-waiting:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("routed child %d never started waiting", i)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for v := m.snapshotSweep(sw, false); v.Done < 2; v = m.snapshotSweep(sw, false) {
+		if time.Now().After(deadline) {
+			t.Fatalf("local children did not finish beside the routed waits: %+v", v)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if ok, err := m.CancelSweep(sw.ID()); !ok || err != nil {
+		t.Fatalf("CancelSweep = (%v, %v)", ok, err)
+	}
+	if v := waitSweep(t, m, sw); v.State != StateCancelled || v.Done != 2 || v.Cancelled != 2 {
+		t.Fatalf("cancelled sweep = %s with %d done, %d cancelled; want cancelled, 2, 2",
+			v.State, v.Done, v.Cancelled)
+	}
+
+	j.Close()
+	j2, rep, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(rep.Jobs) != 2 {
+		t.Fatalf("journal holds %d jobs, want only the 2 local children", len(rep.Jobs))
+	}
+	for _, rj := range rep.Jobs {
+		if rj.Spec.Seed%2 != 1 {
+			t.Errorf("routed child seed %d was journaled", rj.Spec.Seed)
+		}
+	}
+}
+
+// routeEven is a RouteChild hook that keeps odd seeds here and answers
+// even seeds at once, as an owner that already holds the result would.
+func routeEven(_ context.Context, spec Spec) (func(context.Context) (sim.Result, error), error) {
+	if spec.Seed%2 == 1 {
+		return nil, nil
+	}
+	return func(context.Context) (sim.Result, error) {
+		return sim.Result{IPC: float64(spec.Seed)}, nil
+	}, nil
+}
+
+// TestRoutedChildResultsSurviveRestart: a routed child that finishes
+// done is journaled with its result, so after a restart a finished
+// sweep still reports every child done and serves every result,
+// without running anything again.
+func TestRoutedChildResultsSurviveRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	engine := func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
+		return sim.Result{IPC: float64(spec.Seed)}, nil
+	}
+	m, j, _ := journalManager(t, path, Options{Workers: 1, RouteChild: routeEven}, engine)
+	sw, _, err := m.SubmitSweep(sweepOf(1, 2, 3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitSweep(t, m, sw); v.State != StateDone {
+		t.Fatalf("sweep = %s (%s), want done", v.State, v.Error)
+	}
+	j.Close()
+
+	var runs atomic.Int64
+	m2, _, rep := journalManager(t, path, Options{Workers: 1},
+		func(ctx context.Context, spec Spec, p func(int64, int64)) (sim.Result, error) {
+			runs.Add(1)
+			return engine(ctx, spec, p)
+		})
+	if len(rep.Jobs) != 4 || rep.Pending != 0 {
+		t.Fatalf("journal replays %d jobs (%d pending), want 4 done", len(rep.Jobs), rep.Pending)
+	}
+	if err := m2.Restore(rep); err != nil {
+		t.Fatal(err)
+	}
+	sw2, ok := m2.GetSweep(sw.ID())
+	if !ok {
+		t.Fatalf("sweep %s not restored", sw.ID())
+	}
+	if v := m2.snapshotSweep(sw2, false); v.State != StateDone || v.Done != 4 {
+		t.Fatalf("restored sweep = %s with %d/4 done, want done with all 4", v.State, v.Done)
+	}
+	res := m2.SweepResults(sw2)
+	for _, sp := range sw2.specs {
+		if r, ok := res[sp.Hash()]; !ok || r.IPC != float64(sp.Seed) {
+			t.Errorf("child seed %d: IPC %v (present %v), want %d", sp.Seed, r.IPC, ok, sp.Seed)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("restart ran %d children, want 0", n)
+	}
+}
+
+// TestSweepStopInterruptsChildPlacement: RouteChild runs under a
+// context that CancelSweep and Shutdown end, so an owner that never
+// answers a placement holds up neither.
+func TestSweepStopInterruptsChildPlacement(t *testing.T) {
+	placing := make(chan struct{}, 8)
+	m := stubManager(t, Options{Workers: 1,
+		RouteChild: func(ctx context.Context, _ Spec) (func(context.Context) (sim.Result, error), error) {
+			placing <- struct{}{}
+			<-ctx.Done() // an owner that hangs
+			return nil, ctx.Err()
+		},
+	}, func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
+		return sim.Result{IPC: float64(spec.Seed)}, nil
+	})
+	waitPlacing := func() {
+		t.Helper()
+		select {
+		case <-placing:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the feeder never started placing a child")
+		}
+	}
+
+	sw, _, err := m.SubmitSweep(sweepOf(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPlacing()
+	if ok, err := m.CancelSweep(sw.ID()); !ok || err != nil {
+		t.Fatalf("CancelSweep = (%v, %v)", ok, err)
+	}
+	select {
+	case <-sw.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("CancelSweep did not end the placement")
+	}
+	if v := m.snapshotSweep(sw, false); v.State != StateCancelled || v.Linked != 0 {
+		t.Fatalf("cancelled sweep = %s with %d linked, want cancelled with 0", v.State, v.Linked)
+	}
+
+	if _, _, err := m.SubmitSweep(sweepOf(3, 4)); err != nil {
+		t.Fatal(err)
+	}
+	waitPlacing()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := m.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Shutdown waited %v on a hung placement", d)
 	}
 }
