@@ -12,10 +12,11 @@
 // append-only JSONL write-ahead log. On startup the journal is replayed:
 // finished results repopulate the result store, and jobs that never reached a
 // terminal state are re-enqueued under their original ids — a kill -9
-// mid-sweep loses no accepted work. Transiently failed runs are retried
-// automatically up to -job-retries times, and a panic inside a
-// simulation marks only that job failed (rrs_worker_panics_total); the
-// process keeps serving.
+// mid-sweep loses no accepted work. A failed run fails its job: the
+// simulator is deterministic, so a re-run would fail the same way, and
+// clients retry only what a retry can outlive (dropped connections,
+// 429s, 503s). A panic inside a simulation marks only that job failed
+// (rrs_worker_panics_total); the process keeps serving.
 //
 // A whole parameter sweep is one request: POST /v1/sweeps takes a base
 // spec plus axes (mitigations, blacklist sizes, Row Hammer thresholds,
@@ -122,7 +123,6 @@ func run() error {
 		queueDepth   = flag.Int("queue-depth", 64, "max queued jobs before 429s")
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job run limit (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for accepted jobs; leftovers journal-requeue")
-		jobRetries   = flag.Int("job-retries", 2, "automatic retries for transiently failed runs (-1 disables)")
 		journalPath  = flag.String("journal", "", "durable job journal path (JSONL WAL; empty disables durability)")
 		paranoid     = flag.Bool("paranoid", false, "force every job to run with the self-verification layer (stats unchanged; results gain an invariant summary)")
 
@@ -152,7 +152,6 @@ func run() error {
 		Workers:            *workers,
 		QueueDepth:         *queueDepth,
 		DefaultTimeout:     *jobTimeout,
-		JobRetries:         *jobRetries,
 		Journal:            journal,
 		ForceParanoid:      *paranoid,
 		AdmissionWatermark: *watermark,

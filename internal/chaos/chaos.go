@@ -1,35 +1,26 @@
-// Package chaos is deterministic fault injection for the serving layer.
-// It supplies the two failure surfaces a real fleet exposes — the
-// network between client and server, and the worker executing a job —
-// as seeded, repeatable wrappers:
+// Package chaos is deterministic fault injection for the network
+// between a client and the serving layer. Transport is an
+// http.RoundTripper that drops connections, injects synthetic 5xx
+// responses, and adds jittered latency at configured rates, driven by
+// one seeded PRNG so a failing schedule replays exactly under
+// `go test -race -run Chaos`.
 //
-//   - Transport is an http.RoundTripper that drops connections, injects
-//     synthetic 5xx responses, and adds jittered latency at configured
-//     rates, driven by one seeded PRNG so a failing schedule replays
-//     exactly under `go test -race -run Chaos`.
-//   - FlakyRuns wraps a job-execution function with per-spec transient
-//     failures (classified for the manager's retry policy) and targeted
-//     panics, exercising panic isolation and automatic retries without a
-//     single nondeterministic branch.
+// The worker side needs no injector: the simulator is deterministic, so
+// a run fails the same way every time and its job fails once. The soak
+// tests model that with a poison spec whose executor panics, plus a
+// kill -9 and journal-replay restart.
 //
 // Nothing here is imported by production code; the packages under test
-// take the interfaces (http.RoundTripper, service.Options.Run) and the
-// chaos wrappers slot in from tests.
+// take an http.RoundTripper and Transport slots in from tests.
 package chaos
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/resilience"
-	"repro/internal/service"
-	"repro/internal/sim"
 )
 
 // Faults configures a Transport. Rates are probabilities in [0, 1],
@@ -152,86 +143,4 @@ func (t *Transport) Stats() (requests, dropped, failed, delayed int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.requests, t.dropped, t.failed, t.delayed
-}
-
-// RunFunc is the manager's job-execution hook (service.Options.Run).
-type RunFunc = service.RunFunc
-
-// FlakyRuns injects worker-side faults into a RunFunc. Failure decisions
-// are per spec hash: a spec's first FailAttempts runs fail with a
-// transient error (so the manager's bounded retry is guaranteed to
-// recover it — no probabilistic tail of permanently unlucky jobs), and
-// specs selected by PanicOn panic on every run, modeling a deterministic
-// engine bug.
-type FlakyRuns struct {
-	// Rate is the fraction of distinct specs whose first FailAttempts
-	// runs fail transiently, chosen by a seeded hash of the spec.
-	Rate float64
-	// FailAttempts is how many leading attempts of a selected spec fail
-	// (default 1).
-	FailAttempts int
-	// Seed decorrelates spec selection across tests.
-	Seed uint64
-	// PanicOn, when non-nil, marks specs whose runs always panic.
-	PanicOn func(spec service.Spec) bool
-
-	mu       sync.Mutex
-	attempts map[string]int
-	injected int64
-	panics   int64
-}
-
-// Wrap returns inner with the configured faults applied in front.
-func (f *FlakyRuns) Wrap(inner RunFunc) RunFunc {
-	if f.FailAttempts <= 0 {
-		f.FailAttempts = 1
-	}
-	return func(ctx context.Context, spec service.Spec,
-		progress func(done, total int64)) (sim.Result, error) {
-		if f.PanicOn != nil && f.PanicOn(spec) {
-			f.mu.Lock()
-			f.panics++
-			f.mu.Unlock()
-			panic("chaos: injected worker panic")
-		}
-		hash := spec.Hash()
-		f.mu.Lock()
-		if f.attempts == nil {
-			f.attempts = make(map[string]int)
-		}
-		attempt := f.attempts[hash]
-		f.attempts[hash] = attempt + 1
-		flaky := selected(hash, f.Seed, f.Rate)
-		inject := flaky && attempt < f.FailAttempts
-		if inject {
-			f.injected++
-		}
-		f.mu.Unlock()
-		if inject {
-			return sim.Result{}, resilience.MarkTransient(
-				fmt.Errorf("chaos: injected transient failure (attempt %d)", attempt+1))
-		}
-		return inner(ctx, spec, progress)
-	}
-}
-
-// Stats reports injected transient failures and panics so far.
-func (f *FlakyRuns) Stats() (injected, panics int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected, f.panics
-}
-
-// selected deterministically maps a spec hash to [0,1) and compares it
-// to rate. FNV-style fold of the hex hash mixed with the seed.
-func selected(hash string, seed uint64, rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	h := seed ^ 0xcbf29ce484222325
-	for i := 0; i < len(hash); i++ {
-		h ^= uint64(hash[i])
-		h *= 0x100000001b3
-	}
-	return float64(h>>11)/float64(1<<53) < rate
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/resilience"
 	"repro/internal/service"
-	"repro/internal/sim"
 )
 
 // okTransport answers every request 200 without a network.
@@ -121,67 +120,6 @@ func TestChaosTransportDelayHonorsContext(t *testing.T) {
 
 func chaosSpec(seed uint64) service.Spec {
 	return service.Spec{Workloads: []string{"bzip2"}, Scale: 16, Epochs: 1, Seed: seed}
-}
-
-func TestChaosFlakyRunsGuaranteedRecovery(t *testing.T) {
-	inner := func(_ context.Context, spec service.Spec, _ func(int64, int64)) (sim.Result, error) {
-		return sim.Result{IPC: float64(spec.Seed)}, nil
-	}
-	f := &FlakyRuns{Rate: 1, FailAttempts: 2, Seed: 5}
-	run := f.Wrap(inner)
-	spec := chaosSpec(1)
-	for attempt := 0; attempt < 2; attempt++ {
-		_, err := run(context.Background(), spec, nil)
-		if err == nil {
-			t.Fatalf("attempt %d: expected injected failure", attempt+1)
-		}
-		if !resilience.IsTransient(err) {
-			t.Fatalf("injected failure %v is not transient", err)
-		}
-	}
-	res, err := run(context.Background(), spec, nil)
-	if err != nil || res.IPC != 1 {
-		t.Fatalf("attempt 3 = (%v, %v), want the real result", res.IPC, err)
-	}
-	if injected, _ := f.Stats(); injected != 2 {
-		t.Errorf("injected = %d, want 2", injected)
-	}
-}
-
-func TestChaosFlakyRunsSelectionFraction(t *testing.T) {
-	f := &FlakyRuns{Rate: 0.3, Seed: 11}
-	run := f.Wrap(func(context.Context, service.Spec, func(int64, int64)) (sim.Result, error) {
-		return sim.Result{}, nil
-	})
-	const n = 1000
-	faulted := 0
-	for i := 0; i < n; i++ {
-		if _, err := run(context.Background(), chaosSpec(uint64(i)), nil); err != nil {
-			faulted++
-		}
-	}
-	if got := float64(faulted) / n; got < 0.22 || got > 0.38 {
-		t.Errorf("faulted fraction = %.3f, want ≈ 0.3", got)
-	}
-}
-
-func TestChaosFlakyRunsPanicOn(t *testing.T) {
-	f := &FlakyRuns{PanicOn: func(s service.Spec) bool { return s.Seed == 666 }}
-	run := f.Wrap(func(context.Context, service.Spec, func(int64, int64)) (sim.Result, error) {
-		return sim.Result{}, nil
-	})
-	if _, err := run(context.Background(), chaosSpec(1), nil); err != nil {
-		t.Fatalf("unselected spec failed: %v", err)
-	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("selected spec did not panic")
-		}
-		if _, panics := f.Stats(); panics != 1 {
-			t.Errorf("panics = %d, want 1", panics)
-		}
-	}()
-	run(context.Background(), chaosSpec(666), nil)
 }
 
 // Ensure the doc'd claim holds: the package is usable from a plain

@@ -1,18 +1,19 @@
 // Package resilience is the shared failure policy of the serving layer:
 // it decides which errors are worth retrying, how long to wait between
-// attempts, and when a deadline makes another attempt pointless. The
-// client (HTTP retries, result polling) and the server (automatic re-runs
-// of transiently failed jobs) share this one vocabulary so that "transient"
-// means the same thing on both sides of the wire.
+// attempts, and when a deadline makes another attempt pointless. Its
+// callers are the loops that cross a wire: the service client (HTTP
+// retries, result polling), the sweep feeder's admission wait, and the
+// fleet's gossip, replication and routing. A job's simulation is never
+// retried: the simulator is deterministic, so a failed run fails its job.
 //
 // The model is deliberately simple:
 //
 //   - An error is transient (a retry may succeed: connection resets,
-//     overload, injected chaos) or permanent (a retry reproduces it:
-//     validation failures, deterministic simulation errors). Unknown
-//     errors default to permanent — retrying a deterministic failure
-//     only multiplies load — except for network-shaped errors, which are
-//     transient by nature.
+//     overload) or permanent (a retry reproduces it: validation
+//     failures, deterministic simulation errors). Unknown errors default
+//     to permanent — retrying a deterministic failure only multiplies
+//     load — except for network-shaped errors, which are transient by
+//     nature.
 //   - Delays grow exponentially and are drawn with full jitter
 //     (uniform in [0, cap]), the AWS-style scheme that de-correlates
 //     synchronized retry storms.
@@ -118,8 +119,8 @@ func (c *classified) Error() string   { return c.err.Error() }
 func (c *classified) Unwrap() error   { return c.err }
 func (c *classified) Transient() bool { return c.transient }
 
-// MarkTransient tags err as retryable. Fault injectors and servers use
-// it to make their verdict explicit instead of relying on inference.
+// MarkTransient tags err as retryable, making the caller's verdict
+// explicit instead of relying on inference.
 func MarkTransient(err error) error {
 	if err == nil {
 		return nil
@@ -176,27 +177,9 @@ func TransientStatus(code int) bool {
 	return code >= 500 && code != 501
 }
 
-// hinted carries a server-provided minimum wait (Retry-After).
-type hinted struct {
-	err   error
-	after time.Duration
-}
-
-func (h *hinted) Error() string             { return h.err.Error() }
-func (h *hinted) Unwrap() error             { return h.err }
-func (h *hinted) Transient() bool           { return true }
-func (h *hinted) RetryAfter() time.Duration { return h.after }
-
-// WithRetryAfter tags a transient error with the server's requested
-// minimum wait before the next attempt.
-func WithRetryAfter(err error, after time.Duration) error {
-	if err == nil {
-		return nil
-	}
-	return &hinted{err: err, after: after}
-}
-
-// RetryAfter extracts a server wait hint, if any.
+// RetryAfter extracts a server wait hint, if any: the RetryAfter method
+// of an error in err's chain (service.APIError carries the server's
+// Retry-After header this way).
 func RetryAfter(err error) (time.Duration, bool) {
 	var h interface{ RetryAfter() time.Duration }
 	if errors.As(err, &h) {

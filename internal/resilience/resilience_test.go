@@ -12,6 +12,18 @@ import (
 	"time"
 )
 
+// hintedErr is a transient error carrying a server wait hint, the shape
+// of service.APIError for a 429 or 503 with Retry-After.
+type hintedErr struct {
+	err   error
+	after time.Duration
+}
+
+func (h *hintedErr) Error() string             { return h.err.Error() }
+func (h *hintedErr) Unwrap() error             { return h.err }
+func (h *hintedErr) Transient() bool           { return true }
+func (h *hintedErr) RetryAfter() time.Duration { return h.after }
+
 // instant is a Sleep that never waits but records requested delays.
 func instant(delays *[]time.Duration) func(context.Context, time.Duration) error {
 	return func(ctx context.Context, d time.Duration) error {
@@ -35,7 +47,7 @@ func TestClassification(t *testing.T) {
 		{"unexpected EOF", fmt.Errorf("read: %w", io.ErrUnexpectedEOF), true},
 		{"context canceled", context.Canceled, false},
 		{"deadline exceeded", context.DeadlineExceeded, false},
-		{"retry-after hint", WithRetryAfter(errors.New("429"), time.Second), true},
+		{"retry-after hint", &hintedErr{errors.New("429"), time.Second}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,7 +154,7 @@ func TestDoHonorsRetryAfterHint(t *testing.T) {
 		BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
 	Do(context.Background(), p, func(context.Context) error {
 		calls++
-		return WithRetryAfter(errors.New("overloaded"), 3*time.Second)
+		return &hintedErr{errors.New("overloaded"), 3 * time.Second}
 	})
 	if len(delays) != 1 || delays[0] < 3*time.Second {
 		t.Fatalf("delays = %v; want the 3s Retry-After hint to override backoff", delays)
@@ -228,7 +240,7 @@ func TestDoRetryAfterBeyondDeadlineGivesUpImmediately(t *testing.T) {
 	err := Do(ctx, Policy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
 		func(context.Context) error {
 			calls++
-			return WithRetryAfter(overloaded, 10*time.Second)
+			return &hintedErr{overloaded, 10 * time.Second}
 		})
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Do took %v; must give up without serving the 10s hint", elapsed)
@@ -251,7 +263,7 @@ func TestDoJitterStaysInBoundsAndAboveHint(t *testing.T) {
 		MaxDelay: 80 * time.Millisecond, Multiplier: 2,
 		Rand: rand.New(rand.NewSource(99)), Sleep: instant(&delays)}
 	Do(context.Background(), p, func(context.Context) error {
-		return WithRetryAfter(errors.New("blip"), hint)
+		return &hintedErr{errors.New("blip"), hint}
 	})
 	if len(delays) != 7 {
 		t.Fatalf("slept %d times, want 7", len(delays))

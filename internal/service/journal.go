@@ -45,10 +45,9 @@ type journalRecord struct {
 	// the children instead of logging thousands of hashes.
 	SweepSpec *SweepSpec `json:"sweep_spec,omitempty"`
 	// Terminal-state fields.
-	State    State       `json:"state,omitempty"`
-	Error    string      `json:"error,omitempty"`
-	Attempts int         `json:"attempts,omitempty"`
-	Result   *sim.Result `json:"result,omitempty"`
+	State  State       `json:"state,omitempty"`
+	Error  string      `json:"error,omitempty"`
+	Result *sim.Result `json:"result,omitempty"`
 	// Timestamps, RFC3339Nano.
 	Submitted string `json:"submitted_at,omitempty"`
 	Finished  string `json:"finished_at,omitempty"`
@@ -92,7 +91,6 @@ func terminalRecord(j *Job, state State, errMsg string, finished time.Time, res 
 		Hash:     j.hash,
 		State:    state,
 		Error:    errMsg,
-		Attempts: j.attempts,
 		Finished: finished.UTC().Format(time.RFC3339Nano),
 	}
 	if state == StateDone && res != nil {
@@ -153,7 +151,6 @@ type ReplayedJob struct {
 	Spec      Spec
 	State     State
 	Error     string
-	Attempts  int
 	Result    *sim.Result
 	Submitted time.Time
 	Finished  time.Time
@@ -303,7 +300,6 @@ func replayJournal(path string) (*Replayed, error) {
 			}
 			rj.State = rec.State
 			rj.Error = rec.Error
-			rj.Attempts = rec.Attempts
 			rj.Result = rec.Result
 			rj.Finished = parseStamp(rec.Finished)
 		case recRemoved:
@@ -419,7 +415,7 @@ func compactJournal(path string, rep *Replayed) error {
 		if rj.State.terminal() {
 			if err := enc.Encode(journalRecord{
 				Type: recTerminal, ID: rj.ID, Hash: rj.Hash, State: rj.State,
-				Error: rj.Error, Attempts: rj.Attempts, Result: rj.Result,
+				Error: rj.Error, Result: rj.Result,
 				Finished: rj.Finished.UTC().Format(time.RFC3339Nano),
 			}); err != nil {
 				return err
@@ -492,7 +488,6 @@ func (m *Manager) Restore(rep *Replayed) error {
 			spec:      rj.Spec.Normalize(),
 			hash:      rj.Hash,
 			state:     rj.State,
-			attempts:  rj.Attempts,
 			err:       rj.Error,
 			submitted: rj.Submitted,
 			finished:  rj.Finished,

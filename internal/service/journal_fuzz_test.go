@@ -33,7 +33,7 @@ func FuzzReplayJournal(f *testing.F) {
 	accepted := journalRecord{Type: recAccepted, ID: "job-000001", Seq: 1,
 		Hash: spec.Hash(), Spec: &spec, Submitted: "2025-06-03T17:00:00Z"}
 	done := journalRecord{Type: recTerminal, ID: "job-000001", Hash: spec.Hash(),
-		State: StateDone, Attempts: 1, Result: &sim.Result{IPC: 1.5, Accesses: 10},
+		State: StateDone, Result: &sim.Result{IPC: 1.5, Accesses: 10},
 		Finished: "2025-06-03T17:00:01.5+02:00"}
 	for _, seed := range [][]byte{
 		nil,
@@ -45,6 +45,9 @@ func FuzzReplayJournal(f *testing.F) {
 		lines(journalRecord{Type: recSweepAccepted, ID: "sweep-000001", Seq: 1,
 			Hash: ss.Hash(), SweepSpec: &ss}),
 		append(lines(accepted, done), `{"type":"accepted","id":"job-9`...),
+		// A terminal line from a build that still recorded run attempts.
+		append(lines(accepted), `{"type":"terminal","id":"job-000001","hash":"`+spec.Hash()+
+			`","state":"done","attempts":3,"result":{"IPC":1.5},"finished_at":"2025-06-03T17:00:01Z"}`+"\n"...),
 	} {
 		f.Add(seed)
 	}

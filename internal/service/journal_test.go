@@ -441,7 +441,9 @@ func TestJournalInvalidReplayedSpecFailsJob(t *testing.T) {
 // selector), with the hashes that build recorded. Decoding drops the
 // field, so those specs now hash differently: pending records must fail
 // instead of re-running sequentially under the old hash, while the
-// terminal record and the sequential job and sweep restore normally.
+// terminal record and the sequential job and sweep restore normally. A
+// terminal line from a build that still counted run attempts restores
+// too: decoding drops its "attempts" field.
 func TestJournalReplayOfRemovedWorkersField(t *testing.T) {
 	const (
 		parDoneHash    = "2b7e5c71483ee9abfa8ff0011a0d2ac07c1b54c01954c29eb12969cf83624995"
@@ -449,6 +451,7 @@ func TestJournalReplayOfRemovedWorkersField(t *testing.T) {
 		parSweepHash   = "35dd8cb09c68e3e848a065ce8e825392d7bc6a28fb970c806ae88e6801019b7d"
 		seqJobHash     = "2e2bf1ad2796e6920043eedc7e1fb3435131200d964473d06944370f3206342e"
 		seqSweepHash   = "53a7b6d3fa9046ac0bd7d629ada20887161490fac0886b80eb2053c14941bcfc"
+		attemptsHash   = "503234f9ca6d854c6925a9554318e7f617e666e3d49c303cf9bd10db043444f9"
 	)
 	spec := func(seed int, extra string) string {
 		return fmt.Sprintf(`{"workloads":["bzip2"],"mitigation":"rrs","scale":16,"epochs":1,"seed":%d%s}`, seed, extra)
@@ -461,6 +464,8 @@ func TestJournalReplayOfRemovedWorkersField(t *testing.T) {
 		`{"type":"accepted","id":"job-000003","seq":3,"hash":"` + seqJobHash + `","spec":` + spec(5, "") + `,` + at + `}`,
 		`{"type":"sweep_accepted","id":"sweep-000001","seq":1,"hash":"` + parSweepHash + `","sweep_spec":{"base":` + spec(3, `,"workers":2`) + `,"axes":{"seeds":[3,4]}},` + at + `}`,
 		`{"type":"sweep_accepted","id":"sweep-000002","seq":2,"hash":"` + seqSweepHash + `","sweep_spec":{"base":` + spec(6, "") + `,"axes":{"seeds":[6,7]}},` + at + `}`,
+		`{"type":"accepted","id":"job-000004","seq":4,"hash":"` + attemptsHash + `","spec":` + spec(8, "") + `,` + at + `}`,
+		`{"type":"terminal","id":"job-000004","hash":"` + attemptsHash + `","state":"done","attempts":3,"result":{"IPC":9},"finished_at":"2026-01-02T03:04:06Z"}`,
 	}
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
@@ -471,8 +476,8 @@ func TestJournalReplayOfRemovedWorkersField(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if rep.Pending != 2 || rep.PendingSweeps != 2 || rep.Results != 1 {
-		t.Fatalf("replay = %d pending jobs, %d pending sweeps, %d results; want 2/2/1",
+	if rep.Pending != 2 || rep.PendingSweeps != 2 || rep.Results != 2 {
+		t.Fatalf("replay = %d pending jobs, %d pending sweeps, %d results; want 2/2/2",
 			rep.Pending, rep.PendingSweeps, rep.Results)
 	}
 
@@ -509,6 +514,12 @@ func TestJournalReplayOfRemovedWorkersField(t *testing.T) {
 	}
 	if v := job("job-000003"); v.State != StateDone {
 		t.Errorf("sequential job replayed to %s (%q), want done", v.State, v.Error)
+	}
+	if v := job("job-000004"); v.State != StateDone {
+		t.Errorf("terminal attempts job restored as %s (%q), want done", v.State, v.Error)
+	}
+	if res, ok := m.CachedResult(attemptsHash); !ok || res.IPC != 9 {
+		t.Errorf("terminal attempts result = %+v, %v; want IPC 9", res, ok)
 	}
 
 	sweep := func(id string) SweepView {

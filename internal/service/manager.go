@@ -10,15 +10,13 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 )
 
 // State is a job's lifecycle stage. Transitions: queued → running →
 // done | failed | cancelled; a queued job may also go straight to
-// cancelled (DELETE before a worker claims it), a cache hit is born
-// done, and a transiently failed run may loop running → queued up to the
-// retry bound before settling.
+// cancelled (DELETE before a worker claims it), and a cache hit is born
+// done.
 type State string
 
 // Job lifecycle states.
@@ -54,9 +52,8 @@ type Job struct {
 	// remote marks a sweep child Options.RouteChild placed on another
 	// node: it holds no worker, and it is journaled only once it is
 	// done, its accept and terminal lines written together.
-	remote   bool
-	attempts int // completed run attempts (retries = attempts - 1)
-	err      string
+	remote bool
+	err    string
 	// finishing marks a claimed terminal transition whose record is
 	// still being journaled. It bars every other transition; readers
 	// keep seeing the old state until finish publishes the new one.
@@ -86,10 +83,7 @@ type JobView struct {
 	State    State   `json:"state"`
 	Progress float64 `json:"progress"`
 	CacheHit bool    `json:"cache_hit"`
-	// Attempts counts runs of this job so far (0 while it has never been
-	// claimed; 2+ means automatic retries after transient failures).
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Error    string  `json:"error,omitempty"`
 	// Paranoid mirrors Spec.Paranoid at the top level so dashboards can
 	// tell self-verifying runs apart without digging into the spec.
 	Paranoid  bool   `json:"paranoid,omitempty"`
@@ -120,7 +114,6 @@ func (j *Job) Snapshot() JobView {
 		State:     j.state,
 		Progress:  j.progress,
 		CacheHit:  j.cacheHit,
-		Attempts:  j.attempts,
 		Error:     j.err,
 		Paranoid:  j.spec.Paranoid,
 		Spec:      j.spec,
@@ -165,11 +158,6 @@ type Options struct {
 	// DefaultTimeout bounds each job's run unless its spec says
 	// otherwise (0 = no limit).
 	DefaultTimeout time.Duration
-	// JobRetries bounds automatic re-runs of a job whose run failed
-	// transiently (resilience.IsTransient). Deterministic simulation
-	// errors, timeouts and panics are never retried. Default 2;
-	// negative disables retries.
-	JobRetries int
 	// Journal, when non-nil, receives an append-only record of accepted
 	// specs and terminal states, making accepted work durable across
 	// process crashes (see OpenJournal / Restore).
@@ -194,8 +182,9 @@ type Options struct {
 	// applies.
 	AdmissionWatermark int
 	// Run overrides the simulation executor (nil = the built-in engine).
-	// Chaos tests wrap an executor with injected faults here; it is also
-	// the seam for alternative backends.
+	// The fleet wraps it with its cache fan-out and tests with stubs or
+	// a poison-spec panic. A run error fails its job: the simulator is
+	// deterministic, so a re-run would fail the same way.
 	Run RunFunc
 	// RouteChild, when non-nil, places each sweep child the feeder links
 	// that this node neither holds a result for nor has in flight. ctx
@@ -281,9 +270,8 @@ type lastRunStats struct {
 	stallMean              float64
 }
 
-// RunFunc executes one simulation on behalf of the manager. Errors it
-// returns are classified by resilience.IsTransient to decide whether
-// the job is retried.
+// RunFunc executes one simulation on behalf of the manager. An error it
+// returns ends the job: failed, or cancelled for context.Canceled.
 type RunFunc func(ctx context.Context, spec Spec, progress func(done, total int64)) (sim.Result, error)
 
 // NewManager builds and starts a manager; callers must Shutdown it.
@@ -293,12 +281,6 @@ func NewManager(opts Options) *Manager {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	switch {
-	case opts.JobRetries == 0:
-		opts.JobRetries = 2
-	case opts.JobRetries < 0:
-		opts.JobRetries = 0
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = NewMetrics()
@@ -331,9 +313,11 @@ func NewManager(opts Options) *Manager {
 // per-event ring): the manager folds the occupancy/stall aggregates into
 // its Prometheus registry and strips the timeline before the result is
 // stored, so client payloads and the content-addressed store are
-// byte-identical to an unobserved run. Exported so wrappers around
-// Options.Run (the fleet's cache fan-out, chaos injectors) can fall
-// through to the built-in engine.
+// byte-identical to an unobserved run. It fails only on an invalid spec,
+// on sim.Run's config errors or step budget, or on ctx, and a re-run
+// fails the same way. Exported so wrappers around Options.Run (the
+// fleet's cache fan-out, test executors) can fall through to the
+// built-in engine.
 func RunSpec(ctx context.Context, spec Spec, progress func(done, total int64)) (sim.Result, error) {
 	opts, err := spec.Options()
 	if err != nil {
@@ -359,7 +343,6 @@ func (m *Manager) registerMetrics() {
 		"rrs_cache_hits_total":            "Submissions answered from the result store.",
 		"rrs_cache_misses_total":          "Submissions that required a simulation.",
 		"rrs_runs_started_total":          "Simulations handed to a worker.",
-		"rrs_job_retries_total":           "Automatic re-runs of jobs whose run failed transiently.",
 		"rrs_worker_panics_total":         "Panics recovered inside a worker's simulation run.",
 		"rrs_http_panics_total":           "Panics recovered by the HTTP middleware.",
 		"rrs_journal_errors_total":        "Journal append failures (the job proceeds; durability is degraded).",
@@ -799,10 +782,9 @@ func (m *Manager) worker() {
 	}
 }
 
-// safeRun isolates one simulation attempt: a panic in the engine (or an
+// safeRun isolates one simulation run: a panic in the engine (or an
 // injected chaos panic) becomes this job's error instead of the whole
-// process's crash. Panics are permanent — a deterministic engine panics
-// deterministically, so a retry would only panic again.
+// process's crash.
 func (m *Manager) safeRun(ctx context.Context, fn RunFunc, spec Spec,
 	progress func(done, total int64)) (res sim.Result, err error) {
 	defer func() {
@@ -836,7 +818,6 @@ func (m *Manager) runOne(j *Job) {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	j.attempts++
 	j.cancel = cancel
 	j.mu.Unlock()
 
@@ -871,9 +852,7 @@ func (m *Manager) runOne(j *Job) {
 }
 
 // conclude settles the outcome of j's run (or, for a routed child, its
-// wait). A transient failure of a local run goes back to the queue
-// while the retry budget lasts; a routed child's wait has already
-// walked the ring, so its failures are final.
+// wait). Every outcome is terminal.
 func (m *Manager) conclude(j *Job, res sim.Result, err error, timeout time.Duration) {
 	switch {
 	case err == nil:
@@ -896,41 +875,10 @@ func (m *Manager) conclude(j *Job, res sim.Result, err error, timeout time.Durat
 	case errors.Is(err, context.DeadlineExceeded):
 		m.finish(j, StateFailed, fmt.Sprintf("timed out after %s", timeout))
 		m.met.Inc("rrs_jobs_failed_total", 1)
-	case !j.remote && resilience.IsTransient(err) && m.requeue(j, err):
-		// Re-enqueued for another attempt; not terminal yet.
 	default:
 		m.finish(j, StateFailed, err.Error())
 		m.met.Inc("rrs_jobs_failed_total", 1)
 	}
-}
-
-// requeue sends a transiently failed job back to the queue for another
-// attempt, if the retry budget and the queue allow it. It reports false
-// when the job must fail permanently instead.
-func (m *Manager) requeue(j *Job, cause error) bool {
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return false
-	}
-	j.mu.Lock()
-	if j.state != StateRunning || j.finishing || j.attempts > m.opts.JobRetries {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = StateQueued
-	j.cancel = nil
-	j.progress = 0
-	j.mu.Unlock()
-	if err := m.queue.Push(j); err != nil {
-		// No queue slot for the retry: surface the original failure.
-		m.finish(j, StateFailed, fmt.Sprintf("%v (retry abandoned: %v)", cause, err))
-		m.met.Inc("rrs_jobs_failed_total", 1)
-		return true // terminal state reached here; caller must not double-finish
-	}
-	m.met.Inc("rrs_job_retries_total", 1)
-	return true
 }
 
 // retire drops j from the submit-coalescing index once it can no longer

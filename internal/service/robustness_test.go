@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/resilience"
@@ -21,9 +22,11 @@ func counter(m *Manager, name string) int64 {
 }
 
 func TestWorkerPanicIsolatesJob(t *testing.T) {
+	var poisonRuns atomic.Int32
 	m := stubManager(t, Options{Workers: 1},
 		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
 			if spec.Seed == 666 {
+				poisonRuns.Add(1)
 				panic("engine bug")
 			}
 			return sim.Result{IPC: float64(spec.Seed)}, nil
@@ -36,8 +39,8 @@ func TestWorkerPanicIsolatesJob(t *testing.T) {
 	if v.State != StateFailed || !strings.Contains(v.Error, "panic") {
 		t.Fatalf("poison job = %s (%s), want failed with a panic message", v.State, v.Error)
 	}
-	if v.Attempts != 1 {
-		t.Errorf("poison attempts = %d; panics must not be retried", v.Attempts)
+	if n := poisonRuns.Load(); n != 1 {
+		t.Errorf("poison spec ran %d times, want 1", n)
 	}
 	if n := counter(m, "rrs_worker_panics_total"); n != 1 {
 		t.Errorf("rrs_worker_panics_total = %d, want 1", n)
@@ -52,53 +55,40 @@ func TestWorkerPanicIsolatesJob(t *testing.T) {
 	}
 }
 
-func TestTransientFailureRetriedToSuccess(t *testing.T) {
-	runs := 0
-	m := stubManager(t, Options{Workers: 1, JobRetries: 2},
-		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
-			runs++
-			if runs <= 2 {
-				return sim.Result{}, resilience.MarkTransient(errors.New("blip"))
-			}
-			return sim.Result{IPC: 7}, nil
-		})
-	j, err := m.Submit(uniqueSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := waitDone(t, j)
-	if v.State != StateDone {
-		t.Fatalf("job = %s (%s), want done after retries", v.State, v.Error)
-	}
-	if v.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (two transient failures + success)", v.Attempts)
-	}
-	if n := counter(m, "rrs_job_retries_total"); n != 2 {
-		t.Errorf("rrs_job_retries_total = %d, want 2", n)
-	}
-}
-
-func TestTransientFailureExhaustsRetryBudget(t *testing.T) {
-	m := stubManager(t, Options{Workers: 1, JobRetries: 1},
+// TestRunErrorFailsJobOnce pins that a failed run is final: even an
+// error marked transient fails its job after exactly one run, since a
+// deterministic simulation would fail the same way again.
+func TestRunErrorFailsJobOnce(t *testing.T) {
+	var runs atomic.Int32
+	m := stubManager(t, Options{Workers: 1},
 		func(context.Context, Spec, func(int64, int64)) (sim.Result, error) {
-			return sim.Result{}, resilience.MarkTransient(errors.New("always down"))
+			runs.Add(1)
+			return sim.Result{}, resilience.MarkTransient(errors.New("blip"))
 		})
 	j, err := m.Submit(uniqueSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := waitDone(t, j)
-	if v.State != StateFailed || !strings.Contains(v.Error, "always down") {
-		t.Fatalf("job = %s (%s), want failed with the last error", v.State, v.Error)
+	if v.State != StateFailed || !strings.Contains(v.Error, "blip") {
+		t.Fatalf("job = %s (%s), want failed with the run's error", v.State, v.Error)
 	}
-	if v.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (first run + one retry)", v.Attempts)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("runs = %d, want 1", n)
+	}
+	if n := counter(m, "rrs_runs_started_total"); n != 1 {
+		t.Errorf("rrs_runs_started_total = %d, want 1", n)
+	}
+	if n := counter(m, "rrs_jobs_failed_total"); n != 1 {
+		t.Errorf("rrs_jobs_failed_total = %d, want 1", n)
 	}
 }
 
 func TestPermanentFailureNotRetried(t *testing.T) {
-	m := stubManager(t, Options{Workers: 1, JobRetries: 3},
+	var runs atomic.Int32
+	m := stubManager(t, Options{Workers: 1},
 		func(context.Context, Spec, func(int64, int64)) (sim.Result, error) {
+			runs.Add(1)
 			return sim.Result{}, errors.New("deterministic engine error")
 		})
 	j, err := m.Submit(uniqueSpec(1))
@@ -106,11 +96,14 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := waitDone(t, j)
-	if v.State != StateFailed || v.Attempts != 1 {
-		t.Fatalf("job = %s after %d attempts, want failed first try", v.State, v.Attempts)
+	if v.State != StateFailed || !strings.Contains(v.Error, "deterministic engine error") {
+		t.Fatalf("job = %s (%s), want failed with the run's error", v.State, v.Error)
 	}
-	if n := counter(m, "rrs_job_retries_total"); n != 0 {
-		t.Errorf("rrs_job_retries_total = %d, want 0", n)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("runs = %d, want 1", n)
+	}
+	if n := counter(m, "rrs_runs_started_total"); n != 1 {
+		t.Errorf("rrs_runs_started_total = %d, want 1", n)
 	}
 }
 
