@@ -130,11 +130,13 @@ bench-micro:
 # bench-guard so an accidental allocation (closure capture, interface
 # boxing) fails loudly instead of surfacing as throughput drift. The
 # AllocBytes pins cap construction and first-swap allocation at Table 2
-# geometry, so a row-indexed array over a whole bank cannot come back
-# unnoticed where only the touched rows need state.
+# geometry, and the served job's run, which must end with no bank
+# holding per-row ACT counts, so a row-indexed array over a whole bank
+# cannot come back unnoticed where only the touched rows need state.
 alloc-check:
 	$(GO) test -run 'AllocFree|AllocBytes' -count=1 ./internal/rit ./internal/tracker \
-		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation ./internal/cpu
+		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation ./internal/cpu \
+		./internal/sim
 
 # shootout-smoke runs the cross-defense comparison at quick scale with
 # the invariant engine on: every mitigation in the zoo (RRS, the paper

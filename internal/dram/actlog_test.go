@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -141,18 +142,91 @@ func TestResetEpochDropsUnfoldedLog(t *testing.T) {
 }
 
 // TestCheckInvariantsDoesNotFold pins that the structural check reads
-// the log in place: a paranoid run must fold exactly when a plain one
-// does.
+// the log in place and allocates nothing: a paranoid run must fold, and
+// give a bank its per-row counts, exactly when a plain one does.
 func TestCheckInvariantsDoesNotFold(t *testing.T) {
 	s := MustNew(testConfig())
 	id := BankID{}
 	for r := 0; r < 10; r++ {
 		s.Activate(id, r, 0)
 	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("CheckInvariants allocates %.2f times per run, want 0", avg)
 	}
-	if b := s.BankState(id); len(b.log) != 10 || len(b.dirty) != 0 {
-		t.Fatalf("check folded the log: %d logged, %d dirty", len(b.log), len(b.dirty))
+	if b := s.BankState(id); len(b.log) != 10 || len(b.dirty) != 0 || b.HasCounts() {
+		t.Fatalf("check folded the log: %d logged, %d dirty, counts %v", len(b.log), len(b.dirty), b.HasCounts())
+	}
+}
+
+// TestEpochCountsMatchMapCount is the differential test of the log-only
+// state: over random streams of every boundary length it compares
+// RowsWithActsAtLeast and ActCount with a map count. Bank a has its
+// counts read per row, which materializes them; bank b is only ever
+// asked for the statistic, so it stays log-only until its log fills.
+// Each statistic is read twice, and the tally must read zero after
+// every read, across an epoch reset too.
+func TestEpochCountsMatchMapCount(t *testing.T) {
+	thresholds := []int{0, 1, 2, 800}
+	for _, length := range []int{0, 1, actLogSize - 1, actLogSize, actLogSize + 1, 3 * actLogSize} {
+		s := MustNew(testConfig())
+		rng := rand.New(rand.NewSource(int64(length)))
+		a, b := BankID{Bank: 1}, BankID{Channel: 1, Bank: 6}
+		compare := func(phase string, id BankID, ref refCounts) {
+			t.Helper()
+			for _, n := range thresholds {
+				want := ref.atLeast(max(n, 1))
+				for range 2 {
+					if got := s.RowsWithActsAtLeast(id, n); got != want {
+						t.Fatalf("length %d, %s, %v: RowsWithActsAtLeast(%d) = %d, want %d", length, phase, id, n, got, want)
+					}
+					if i := slices.IndexFunc(s.tally, func(c uint16) bool { return c != 0 }); i >= 0 {
+						t.Fatalf("length %d, %s: tally[%d] = %d after a read, want 0", length, phase, i, s.tally[i])
+					}
+				}
+			}
+		}
+		for epoch := 0; epoch < 2; epoch++ {
+			refA, refB := refCounts{}, refCounts{}
+			for i := 0; i < length; i++ {
+				// Half the ACTs go to two hot rows, so 800 is reached
+				// once a bank logs about 1600 ACTs.
+				for _, bank := range []struct {
+					id  BankID
+					ref refCounts
+				}{{a, refA}, {b, refB}} {
+					row := rng.Intn(s.Config().RowsPerBank)
+					if rng.Intn(2) == 0 {
+						row = 100 + rng.Intn(2)
+					}
+					s.Activate(bank.id, row, int64(i))
+					bank.ref[row]++
+				}
+			}
+			if wantDense := epoch > 0 || length > actLogSize; s.BankState(a).HasCounts() != wantDense {
+				t.Fatalf("length %d, epoch %d: bank a has counts = %v before its reads, want %v",
+					length, epoch, !wantDense, wantDense)
+			}
+			if s.BankState(b).HasCounts() != (length > actLogSize) {
+				t.Fatalf("length %d, epoch %d: bank b has counts = %v, want %v",
+					length, epoch, s.BankState(b).HasCounts(), length > actLogSize)
+			}
+			compare("before ActCount", a, refA)
+			compare("log-only reads", b, refB)
+			checkCounts(t, s, a, refA)
+			if !s.BankState(a).HasCounts() {
+				t.Fatalf("length %d: ActCount left bank a without counts", length)
+			}
+			compare("after ActCount", a, refA)
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			s.ResetEpoch()
+			compare("after reset", a, refCounts{})
+			compare("after reset", b, refCounts{})
+		}
 	}
 }

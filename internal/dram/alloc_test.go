@@ -58,3 +58,13 @@ func TestFirstSwapAllocBytes(t *testing.T) {
 		t.Fatalf("first SwapRows allocated %d bytes, want < 4 KiB", n)
 	}
 }
+
+// TestNewAllocBytes pins construction at Table 2 geometry: the system
+// allocates its activation logs and the log-count tally, not a count per
+// row for each of its 32 banks of 128 Ki rows, which a bank gets only
+// when its log fills.
+func TestNewAllocBytes(t *testing.T) {
+	if n := allocBytes(func() { MustNew(config.Default()) }); n >= 1<<20 {
+		t.Fatalf("New allocated %d bytes, want < 1 MiB", n)
+	}
+}

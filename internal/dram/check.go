@@ -16,25 +16,34 @@ func (s *System) EnableParanoid(eng *invariant.Engine) {
 // CheckInvariants verifies the system's redundant bank state and returns
 // a typed *invariant.Violation for the first breach:
 //
-//   - dram/structure: every dirty-list entry names a distinct row with a
-//     nonzero activation count (the epoch-reset fast path clears exactly
-//     the dirty rows, so a zero-count or duplicated entry means counts
-//     would leak across epochs); every row in the unfolded activation
-//     log is inside the bank, so the next fold cannot index past the
-//     counts; the content map holds only rows of the bank, so no swap
-//     wrote a tag past RowsPerBank.
+//   - dram/structure: a bank without per-row counts has an empty dirty
+//     list (its log is its whole count, so a dirty entry would name a
+//     count that does not exist); otherwise every dirty-list entry names a
+//     distinct row with a nonzero activation count (the epoch-reset fast
+//     path clears exactly the dirty rows, so a zero-count or duplicated
+//     entry means counts would leak across epochs); every row in the
+//     unfolded activation log is inside the bank, so the next fold or
+//     log count cannot index past the counts or the tally; the content
+//     map holds only rows of the bank, so no swap wrote a tag past
+//     RowsPerBank.
 //
-// The check reads the log without folding it, so a paranoid run folds
-// exactly when an unchecked one does. Cost is O(dirty + log + written
-// rows) per bank — never O(RowsPerBank).
+// The check reads the log without folding it and never allocates a
+// bank's counts, so a paranoid run folds exactly when an unchecked one
+// does. Cost is O(dirty + log + written rows) per bank — never
+// O(RowsPerBank).
 func (s *System) CheckInvariants() error {
+	rows := s.cfg.RowsPerBank
 	for i := range s.banks {
 		b := &s.banks[i]
+		if b.acts == nil && len(b.dirty) > 0 {
+			return invariant.Violatedf("dram/structure",
+				"bank %d: dirty list names %d rows (first %d), but the bank has no per-row counts", i, len(b.dirty), b.dirty[0])
+		}
 		seen := make(map[int32]struct{}, len(b.dirty))
 		for _, r := range b.dirty {
-			if int(r) >= len(b.acts) {
+			if uint32(r) >= uint32(rows) {
 				return invariant.Violatedf("dram/structure",
-					"bank %d: dirty list names row %d beyond the bank's %d rows", i, r, len(b.acts))
+					"bank %d: dirty list names row %d beyond the bank's %d rows", i, r, rows)
 			}
 			if b.acts[r] == 0 {
 				return invariant.Violatedf("dram/structure",
@@ -47,15 +56,15 @@ func (s *System) CheckInvariants() error {
 			seen[r] = struct{}{}
 		}
 		for _, r := range b.log {
-			if uint32(r) >= uint32(len(b.acts)) {
+			if uint32(r) >= uint32(rows) {
 				return invariant.Violatedf("dram/structure",
-					"bank %d: activation log names row %d beyond the bank's %d rows", i, r, len(b.acts))
+					"bank %d: activation log names row %d beyond the bank's %d rows", i, r, rows)
 			}
 		}
 		for r := range b.content {
-			if uint(r) >= uint(s.cfg.RowsPerBank) {
+			if uint(r) >= uint(rows) {
 				return invariant.Violatedf("dram/structure",
-					"bank %d: content map holds row %d beyond the bank's %d rows", i, r, s.cfg.RowsPerBank)
+					"bank %d: content map holds row %d beyond the bank's %d rows", i, r, rows)
 			}
 		}
 	}

@@ -58,9 +58,14 @@ type Bank struct {
 	// row buffer (refresh closes open rows).
 	LastRefSlot int64
 
-	// acts counts activations in the current epoch per row; only rows in
-	// dirty have nonzero counts. log holds the rows activated since the
-	// last fold, which has not yet reached acts (see Activate).
+	// log holds the rows activated since the last fold. Until the bank's
+	// first fold it is the bank's whole epoch count, and acts is nil.
+	// acts, a count per row, materializes when the log fills (actLogSize
+	// ACTs with no fold in between) or when ActCount reads a row; from
+	// then on only rows in dirty have nonzero counts and the log holds
+	// what has not yet reached acts (see Activate). A log-only bank's
+	// dirty list is empty. sim reads the counts only through
+	// RowsWithActsAtLeast, which does not materialize them.
 	acts  []int32
 	dirty []int32
 	log   []int32
@@ -77,18 +82,26 @@ type Bank struct {
 	StatWrites int64
 }
 
+// HasCounts reports whether the bank's per-row counts have
+// materialized; until then its activation log is its epoch count.
+func (b *Bank) HasCounts() bool { return b.acts != nil }
+
 // actLogSize is how many activations a bank logs before folding them into
 // its counts (16 KiB of int32 rows per bank).
 const actLogSize = 4096
 
-// fold adds the logged activations to the per-row counts. The count
-// array is far larger than the caches and consecutive ACTs rarely share
-// a row, so almost every increment misses; no increment depends on
-// another, so in this loop the misses overlap instead of each stalling
-// the activation that caused it. Every row is written to the dirty
-// list's spare room and the length advances only past a first touch, a
-// conditional move rather than a branch that scattered rows mispredict.
-func (b *Bank) fold() {
+// fold adds the logged activations to the per-row counts, allocating
+// the bank's per-row counts on its first fold. The count array is far
+// larger than the caches and consecutive ACTs rarely share a row, so
+// almost every increment misses; no increment depends on another, so in
+// this loop the misses overlap instead of each stalling the activation
+// that caused it. Every row is written to the dirty list's spare room
+// and the length advances only past a first touch, a conditional move
+// rather than a branch that scattered rows mispredict.
+func (b *Bank) fold(rows int) {
+	if b.acts == nil {
+		b.acts = make([]int32, rows)
+	}
 	d := slices.Grow(b.dirty, len(b.log))
 	n := len(d)
 	d = d[:n+len(b.log)]
@@ -113,6 +126,11 @@ type System struct {
 	listeners  []ActListener
 	epochHooks []func()
 
+	// tally is the row-indexed scratch RowsWithActsAtLeast counts a
+	// log-only bank's log in; it is all zero between calls. A log holds
+	// at most actLogSize rows, so no tally overflows a uint16.
+	tally []uint16
+
 	// eng, when non-nil, receives swap-conservation violations: each
 	// SwapRows/CycleRows re-reads the involved rows after the transfer
 	// and compares against the contents captured before it. swapChecks
@@ -135,11 +153,11 @@ func New(cfg config.Config) (*System, error) {
 		banks:   make([]Bank, n),
 		busFree: make([]int64, cfg.Channels),
 		blocked: make([]int64, cfg.Channels),
+		tally:   make([]uint16, cfg.RowsPerBank),
 	}
 	logs := make([]int32, n*actLogSize)
 	for i := range s.banks {
 		s.banks[i].OpenRow = NoRow
-		s.banks[i].acts = make([]int32, cfg.RowsPerBank)
 		s.banks[i].log = logs[i*actLogSize : i*actLogSize : (i+1)*actLogSize]
 	}
 	return s, nil
@@ -258,12 +276,12 @@ func (s *System) ReserveBus(ch int, earliest int64) int64 {
 // row buffer, counts the activation for the epoch and statistics, and
 // notifies listeners. Timing reservations are the caller's job. The
 // epoch count goes to the bank's log, folded into the per-row counts
-// when the log fills or a count is read.
+// when the log fills or ActCount reads a count.
 func (s *System) Activate(id BankID, row int, now int64) {
 	b := s.BankState(id)
 	b.OpenRow = row
 	if len(b.log) == cap(b.log) {
-		b.fold()
+		b.fold(s.cfg.RowsPerBank)
 	}
 	b.log = append(b.log, int32(row))
 	b.StatActs++
@@ -273,19 +291,37 @@ func (s *System) Activate(id BankID, row int, now int64) {
 }
 
 // ActCount returns the number of activations row has received in the
-// current epoch.
+// current epoch. It folds the bank's log, so a log-only bank gets its
+// per-row counts here; only tests call it.
 func (s *System) ActCount(id BankID, row int) int {
 	b := s.BankState(id)
-	b.fold()
+	b.fold(s.cfg.RowsPerBank)
 	return int(b.acts[row])
 }
 
 // RowsWithActsAtLeast counts rows in the bank with at least n activations
-// this epoch (the paper's ACT-800+ statistic uses n = 800).
+// this epoch (the paper's ACT-800+ statistic uses n = 800). A log-only
+// bank is counted from its log in O(log length), through the tally:
+// every logged row is incremented, then each is counted if it reached
+// n and zeroed, so its later entries read zero and count once. As with
+// the dirty list, only activated rows count, so n below 1 counts as 1.
 func (s *System) RowsWithActsAtLeast(id BankID, n int) int {
 	b := s.BankState(id)
-	b.fold()
 	count := 0
+	if b.acts == nil {
+		n = max(n, 1)
+		for _, r := range b.log {
+			s.tally[r]++
+		}
+		for _, r := range b.log {
+			if int(s.tally[r]) >= n {
+				count++
+			}
+			s.tally[r] = 0
+		}
+		return count
+	}
+	b.fold(s.cfg.RowsPerBank)
 	for _, r := range b.dirty {
 		if int(b.acts[r]) >= n {
 			count++
@@ -306,6 +342,8 @@ func (s *System) RefreshAll() {
 
 // ResetEpoch clears per-epoch activation counts for all banks (the rolling
 // refresh has covered every row once per epoch), unfolded ones included.
+// A log-only bank's dirty list is empty, so emptying its log clears it;
+// a bank with per-row counts keeps the zeroed array for the next epoch.
 func (s *System) ResetEpoch() {
 	for i := range s.banks {
 		b := &s.banks[i]

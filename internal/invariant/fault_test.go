@@ -7,6 +7,7 @@
 package invariant_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cat"
@@ -357,7 +358,11 @@ func faultDRAM(t *testing.T) (*dram.System, dram.BankID) {
 		sys.Activate(id, row, int64(row))
 		sys.SetRowContent(id, row, uint64(100+row))
 	}
-	// Reading a count folds the logged ACTs, so rows 0-7 are dirty.
+	// Reading a row's count gives the bank its per-row counts and folds
+	// the logged ACTs, so rows 0-7 are dirty.
+	if n := sys.ActCount(id, 3); n != 1 {
+		t.Fatalf("warmup left row 3 with %d ACTs, want 1", n)
+	}
 	if n := sys.RowsWithActsAtLeast(id, 1); n != 8 {
 		t.Fatalf("warmup left %d rows activated, want 8", n)
 	}
@@ -370,27 +375,40 @@ func faultDRAM(t *testing.T) (*dram.System, dram.BankID) {
 
 func TestFaultDRAMStructure(t *testing.T) {
 	cases := []struct {
-		name string
-		hurt func(sys *dram.System, id dram.BankID)
+		name   string
+		hurt   func(sys *dram.System, id dram.BankID)
+		detail string // a substring the violation's detail must contain
 	}{
 		{"dirty-zero-acts", func(sys *dram.System, id dram.BankID) {
 			sys.CorruptDirtyForTest(id, 900) // never activated
-		}},
+		}, "zero activations"},
 		{"dirty-duplicate", func(sys *dram.System, id dram.BankID) {
 			sys.CorruptDirtyForTest(id, 3) // already dirty from warmup
-		}},
+		}, "twice"},
+		{"dirty-log-only-bank", func(sys *dram.System, id dram.BankID) {
+			// A bank whose ACTs are all still in its log has no
+			// per-row counts, so no dirty list either.
+			other := id
+			other.Bank++
+			sys.Activate(other, 5, 0)
+			sys.CorruptDirtyForTest(other, 5)
+		}, "no per-row counts"},
 		{"log-row-out-of-bank", func(sys *dram.System, id dram.BankID) {
 			sys.CorruptLogForTest(id, sys.Config().RowsPerBank)
-		}},
+		}, "activation log"},
 		{"content-out-of-bank", func(sys *dram.System, id dram.BankID) {
 			sys.CorruptContentForTest(id, sys.Config().RowsPerBank, 42)
-		}},
+		}, "content map"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, id := faultDRAM(t)
 			tc.hurt(sys, id)
-			wantViolation(t, sys.CheckInvariants(), "dram/structure")
+			err := sys.CheckInvariants()
+			wantViolation(t, err, "dram/structure")
+			if d := invariant.AsViolation(err).Detail; !strings.Contains(d, tc.detail) {
+				t.Fatalf("violation detail %q does not mention %q", d, tc.detail)
+			}
 		})
 	}
 }

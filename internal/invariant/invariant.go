@@ -39,8 +39,10 @@
 //     size accounting, slot-placement consistency (every key sits in a
 //     set its hashes select), no duplicate keys, and presence-bitset
 //     agreement (cat/presence).
-//   - dram/structure: activation count/dirty-list agreement, and the
-//     sparse content map holding only rows inside the bank.
+//   - dram/structure: activation count/dirty-list agreement, no dirty
+//     list on a bank without per-row counts, in-range activation-log
+//     rows, and the sparse content map holding only rows inside the
+//     bank.
 //   - dram/swap-conservation: every SwapRows/CycleRows is re-read after
 //     the transfer and compared against the contents captured before it
 //     (the ~2.9 us swap+unswap window of Figure 4 must conserve row
