@@ -133,10 +133,12 @@ bench-micro:
 # geometry, and the served job's run, which must end with no bank
 # holding per-row ACT counts, so a row-indexed array over a whole bank
 # cannot come back unnoticed where only the touched rows need state.
+# The same holds for CAT slots: an RRS is built without any, and a set
+# gets its slots with its first entry.
 alloc-check:
 	$(GO) test -run 'AllocFree|AllocBytes' -count=1 ./internal/rit ./internal/tracker \
 		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation ./internal/cpu \
-		./internal/sim
+		./internal/sim ./internal/core
 
 # shootout-smoke runs the cross-defense comparison at quick scale with
 # the invariant engine on: every mitigation in the zoo (RRS, the paper

@@ -68,8 +68,14 @@ const maxBitsetKeys = 1 << 22
 //
 // Table is not safe for concurrent use.
 type Table[V any] struct {
-	spec  Spec
-	slots [2][]slot[V]  // per table, sets*ways slots, set-major
+	spec Spec
+	// slots holds, per table and per set, that set's Ways slots. A set's
+	// slice stays nil until place first stores an entry there: a benign
+	// run fills a few percent of a RIT sized for the worst-case ACT rate,
+	// so most sets never need storage. Allocating one set never moves
+	// another's, which keeps Lookup's pointer-validity rule. Only ways
+	// the occupancy mask marks are read, so an empty set is never indexed.
+	slots [2][][]slot[V]
 	sets  [2][]setState // per table, per set: occupancy mask and counter
 	hash  [2]*prince.Hash64
 	size  int
@@ -97,7 +103,7 @@ func New[V any](spec Spec, seed uint64) *Table[V] {
 	}
 	t := &Table[V]{spec: spec}
 	for i := 0; i < 2; i++ {
-		t.slots[i] = make([]slot[V], spec.Sets*spec.Ways)
+		t.slots[i] = make([][]slot[V], spec.Sets)
 		t.sets[i] = make([]setState, spec.Sets)
 		for s := range t.sets[i] {
 			t.sets[i][s].invalid = spec.Ways
@@ -151,7 +157,9 @@ func (t *Table[V]) mightContain(key uint64) bool {
 func (t *Table[V]) presenceWord(key uint64) *uint64 {
 	w := key >> 6
 	if w >= uint64(len(t.present)) {
-		grown := make([]uint64, min(2*(w+1), maxBitsetKeys/64))
+		// Grow to the next power of two of words covering w, so a bank's
+		// power-of-two row count fills the bitset exactly.
+		grown := make([]uint64, min(1<<bits.Len64(w), maxBitsetKeys/64))
 		copy(grown, t.present)
 		t.present = grown
 	}
@@ -172,16 +180,10 @@ func (t *Table[V]) markPresent(key uint64, on bool) {
 	}
 }
 
-// setSlots returns the slot slice for set s of table ti.
-func (t *Table[V]) setSlots(ti, s int) []slot[V] {
-	w := t.spec.Ways
-	return t.slots[ti][s*w : (s+1)*w]
-}
-
 // find returns the way of set s in table ti holding key, or -1. It reads
 // only the ways the occupancy mask marks as taken.
 func (t *Table[V]) find(ti, s int, key uint64) int {
-	ss := t.setSlots(ti, s)
+	ss := t.slots[ti][s]
 	for m := t.sets[ti][s].mask; m != 0; m &= m - 1 {
 		if w := bits.TrailingZeros64(m); ss[w].key == key {
 			return w
@@ -208,10 +210,10 @@ func (t *Table[V]) LookupPos(key uint64) (ti, s int, val *V) {
 	}
 	s0, s1 := t.setsOf(key)
 	if w := t.find(0, s0, key); w >= 0 {
-		return 0, s0, &t.setSlots(0, s0)[w].val
+		return 0, s0, &t.slots[0][s0][w].val
 	}
 	if w := t.find(1, s1, key); w >= 0 {
-		return 1, s1, &t.setSlots(1, s1)[w].val
+		return 1, s1, &t.slots[1][s1][w].val
 	}
 	return 0, 0, nil
 }
@@ -262,17 +264,21 @@ func (t *Table[V]) roomier(s0, s1 int) (ti, s int) {
 	return 0, s0
 }
 
-// place stores (key, val) in the lowest free way of set s of table ti and
-// returns the stored value. The set must have a free way.
+// place stores (key, val) in the lowest free way of set s of table ti,
+// giving the set its slots on its first entry, and returns the stored
+// value. The set must have a free way.
 func (t *Table[V]) place(ti, s int, key uint64, val V) *V {
 	st := &t.sets[ti][s]
 	w := bits.TrailingZeros64(^st.mask)
 	if w >= t.spec.Ways {
 		panic("cat: invalid-way accounting corrupted")
 	}
+	if t.slots[ti][s] == nil {
+		t.slots[ti][s] = make([]slot[V], t.spec.Ways)
+	}
 	st.mask |= 1 << w
 	st.invalid--
-	sl := &t.setSlots(ti, s)[w]
+	sl := &t.slots[ti][s][w]
 	*sl = slot[V]{key: key, val: val}
 	return &sl.val
 }
@@ -282,7 +288,7 @@ func (t *Table[V]) place(ti, s int, key uint64, val V) *V {
 // way, and move it there. Reports whether a way was freed.
 func (t *Table[V]) relocate(s0, s1 int) bool {
 	for ti, s := range [2]int{s0, s1} {
-		ss := t.setSlots(ti, s)
+		ss := t.slots[ti][s]
 		alt := 1 - ti
 		for m := t.sets[ti][s].mask; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
@@ -320,14 +326,14 @@ func (t *Table[V]) DeleteAt(ti, s, way int) uint64 {
 	if way < 0 || way >= t.spec.Ways || t.sets[ti][s].mask&(1<<way) == 0 {
 		panic(fmt.Sprintf("cat: DeleteAt of invalid slot (table %d, set %d, way %d)", ti, s, way))
 	}
-	key := t.setSlots(ti, s)[way].key
+	key := t.slots[ti][s][way].key
 	t.remove(ti, s, way)
 	return key
 }
 
 // remove invalidates the valid slot at (ti, s, way).
 func (t *Table[V]) remove(ti, s, way int) {
-	t.markPresent(t.setSlots(ti, s)[way].key, false)
+	t.markPresent(t.slots[ti][s][way].key, false)
 	t.vacate(ti, s, way)
 	t.size--
 }
@@ -338,14 +344,7 @@ func (t *Table[V]) vacate(ti, s, way int) {
 	st := &t.sets[ti][s]
 	st.mask &^= 1 << way
 	st.invalid++
-	t.setSlots(ti, s)[way] = slot[V]{}
-}
-
-// valid reports whether slot i of table ti (an index into t.slots[ti])
-// holds an entry.
-func (t *Table[V]) valid(ti, i int) bool {
-	w := t.spec.Ways
-	return t.sets[ti][i/w].mask&(1<<(i%w)) != 0
+	t.slots[ti][s][way] = slot[V]{}
 }
 
 // ForEach calls fn for every valid entry until fn returns false. The value
@@ -353,7 +352,7 @@ func (t *Table[V]) valid(ti, i int) bool {
 func (t *Table[V]) ForEach(fn func(key uint64, val *V) bool) {
 	for ti := 0; ti < 2; ti++ {
 		for s := range t.sets[ti] {
-			ss := t.setSlots(ti, s)
+			ss := t.slots[ti][s]
 			for m := t.sets[ti][s].mask; m != 0; m &= m - 1 {
 				sl := &ss[bits.TrailingZeros64(m)]
 				if !fn(sl.key, &sl.val) {
@@ -370,14 +369,20 @@ func (t *Table[V]) ForEach(fn func(key uint64, val *V) bool) {
 // reservoir sampling so it stays correct when few entries qualify.
 func (t *Table[V]) RandomEntry(rng *prince.CTR, pred func(key uint64, val *V) bool) (key uint64, val *V, ok bool) {
 	if t.size > 0 {
-		total := t.spec.Slots()
+		perTable := t.spec.Sets * t.spec.Ways
 		// Random probing succeeds quickly when the table is mostly full of
-		// qualifying entries (the common case: unlocked RIT entries).
+		// qualifying entries (the common case: unlocked RIT entries). The
+		// mask is tested before the slot is read, so a probe into a set
+		// without storage is a plain miss.
 		for tries := 0; tries < 16; tries++ {
-			idx := rng.Intn(total)
-			ti, i := idx/(t.spec.Sets*t.spec.Ways), idx%(t.spec.Sets*t.spec.Ways)
-			sl := &t.slots[ti][i]
-			if t.valid(ti, i) && (pred == nil || pred(sl.key, &sl.val)) {
+			idx := rng.Intn(2 * perTable)
+			ti, i := idx/perTable, idx%perTable
+			s, w := i/t.spec.Ways, i%t.spec.Ways
+			if t.sets[ti][s].mask&(1<<w) == 0 {
+				continue
+			}
+			sl := &t.slots[ti][s][w]
+			if pred == nil || pred(sl.key, &sl.val) {
 				return sl.key, &sl.val, true
 			}
 		}
@@ -403,11 +408,12 @@ func (t *Table[V]) SetLoad(ti, s int) int {
 }
 
 // Clear invalidates every entry while keeping the hash keys (a hardware
-// bulk-reset of valid bits).
+// bulk-reset of valid bits). Sets keep their storage: the tracker clears
+// every epoch and refills much the same sets.
 func (t *Table[V]) Clear() {
 	for ti := 0; ti < 2; ti++ {
-		clear(t.slots[ti])
 		for s := range t.sets[ti] {
+			clear(t.slots[ti][s])
 			t.sets[ti][s] = setState{invalid: t.spec.Ways}
 		}
 	}
@@ -420,7 +426,7 @@ func (t *Table[V]) Clear() {
 // fn returns false. way is the entry's position in the set, which DeleteAt
 // accepts.
 func (t *Table[V]) ForEachInSet(ti, s int, fn func(way int, key uint64, val *V) bool) {
-	ss := t.setSlots(ti, s)
+	ss := t.slots[ti][s]
 	for m := t.sets[ti][s].mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if !fn(w, ss[w].key, &ss[w].val) {

@@ -1,9 +1,11 @@
 package cat
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/invariant"
 	"repro/internal/prince"
 )
 
@@ -461,6 +463,38 @@ func TestPresenceExact(t *testing.T) {
 	}
 	if tab.Relocations() == 0 {
 		t.Fatal("no cuckoo relocation happened; the test does not cover one")
+	}
+}
+
+// TestCheckInvariantsFindsDuplicateKey rewrites one stored key into
+// another that hashes to the same table-0 set, so the copy sits where
+// its key belongs: in the same set as the original, or in table 0 while
+// the original is in table 1. Placement cannot see either repeat; the
+// occupancy check must.
+func TestCheckInvariantsFindsDuplicateKey(t *testing.T) {
+	for _, sameSet := range []bool{true, false} {
+		tab := New[int](Spec{Sets: 4, Ways: 6}, 2)
+		for k := uint64(0); k < 24; k++ {
+			tab.Install(k, int(k))
+		}
+		found := false
+		for a := uint64(0); a < 24 && !found; a++ {
+			ta, sa, _, _ := tab.slotOf(a)
+			for b := uint64(0); b < 24 && !found && ta == 0; b++ {
+				tb, _, _, _ := tab.slotOf(b)
+				if s0, _ := tab.setsOf(b); b == a || s0 != sa || (tb == 0) != sameSet {
+					continue
+				}
+				found = tab.CorruptKeyForTest(a, b)
+			}
+		}
+		if !found {
+			t.Fatalf("same set %v: no key pair to duplicate", sameSet)
+		}
+		var v *invariant.Violation
+		if err := tab.CheckInvariants(); !errors.As(err, &v) || v.Invariant != "cat/occupancy" {
+			t.Fatalf("same set %v: CheckInvariants = %v, want a cat/occupancy violation", sameSet, err)
+		}
 	}
 }
 

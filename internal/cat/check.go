@@ -10,17 +10,19 @@ import (
 // a typed *invariant.Violation describing the first mismatch:
 //
 //   - cat/occupancy: each set's occupancy mask has no bit at or above
-//     Ways, its invalid-way counter equals Ways minus the mask's
-//     population count, and no key is stored twice.
+//     Ways and marks no way of a set that has no slot storage, its
+//     invalid-way counter equals Ways minus the mask's population count,
+//     and no key is stored twice.
 //   - cat/placement: every occupied slot's key hashes to the set holding
 //     it (recomputed from each table's own hash).
 //   - cat/size: the size counter equals the number of occupied slots.
 //   - cat/presence: the miss-path bitset and large-key counter agree
 //     exactly with table membership (see CheckPresence).
 //
-// Cost is O(slots); the paranoid engine runs it on a cadence.
+// Every set's occupancy is checked before any slot is read, so the key
+// pass only indexes ways that exist. Cost is O(slots) and no allocation;
+// the paranoid engine runs it on a cadence.
 func (t *Table[V]) CheckInvariants() error {
-	seen := make(map[uint64]struct{}, t.size)
 	total := 0
 	for ti := 0; ti < 2; ti++ {
 		for s, st := range t.sets[ti] {
@@ -29,27 +31,43 @@ func (t *Table[V]) CheckInvariants() error {
 					"table %d set %d: occupancy mask %#x marks ways at or above %d",
 					ti, s, st.mask, t.spec.Ways)
 			}
+			if st.mask != 0 && t.slots[ti][s] == nil {
+				return invariant.Violatedf("cat/occupancy",
+					"table %d set %d: occupancy mask %#x marks ways of a set with no slot storage",
+					ti, s, st.mask)
+			}
 			valid := bits.OnesCount64(st.mask)
 			if st.invalid != t.spec.Ways-valid {
 				return invariant.Violatedf("cat/occupancy",
 					"table %d set %d: invalid-way counter %d, occupancy mask leaves %d ways free",
 					ti, s, st.invalid, t.spec.Ways-valid)
 			}
-			ss := t.setSlots(ti, s)
+			total += valid
+		}
+	}
+	for ti := 0; ti < 2; ti++ {
+		for s, st := range t.sets[ti] {
+			ss := t.slots[ti][s]
 			for m := st.mask; m != 0; m &= m - 1 {
 				key := ss[bits.TrailingZeros64(m)].key
-				if _, dup := seen[key]; dup {
-					return invariant.Violatedf("cat/occupancy",
-						"key %#x stored in more than one slot", key)
-				}
-				seen[key] = struct{}{}
-				if want := t.setIndex(ti, key); want != s {
+				s0, s1 := t.setsOf(key)
+				if want := [2]int{s0, s1}[ti]; want != s {
 					return invariant.Violatedf("cat/placement",
 						"key %#x sits in table %d set %d but hashes to set %d",
 						key, ti, s, want)
 				}
+				// A correctly placed key can only be repeated in a later
+				// way of its own set or, from table 0, in its table-1 set;
+				// a repeat placed anywhere else fails cat/placement.
+				dup := ti == 0 && t.find(1, s1, key) >= 0
+				for rest := m & (m - 1); rest != 0 && !dup; rest &= rest - 1 {
+					dup = ss[bits.TrailingZeros64(rest)].key == key
+				}
+				if dup {
+					return invariant.Violatedf("cat/occupancy",
+						"key %#x stored in more than one slot", key)
+				}
 			}
-			total += valid
 		}
 	}
 	if total != t.size {
@@ -66,12 +84,16 @@ func (t *Table[V]) CheckInvariants() error {
 // run the full CheckInvariants sweep can still check the miss path.
 func (t *Table[V]) CheckPresence() error {
 	big, valid := 0, 0
-	// Mask bits at or above Ways are cat/occupancy's to report; skip them
-	// so a standalone call cannot index past a set.
+	// Mask bits at or above Ways, and masks on sets with no slot storage,
+	// are cat/occupancy's to report; skip them so a standalone call cannot
+	// index past a set.
 	ways := uint64(1)<<t.spec.Ways - 1
 	for ti := 0; ti < 2; ti++ {
 		for s, st := range t.sets[ti] {
-			ss := t.setSlots(ti, s)
+			ss := t.slots[ti][s]
+			if ss == nil {
+				continue
+			}
 			for m := st.mask & ways; m != 0; m &= m - 1 {
 				key := ss[bits.TrailingZeros64(m)].key
 				valid++
@@ -114,7 +136,9 @@ func (t *Table[V]) CorruptInvalidCountForTest(ti, s, delta int) {
 }
 
 // CorruptMaskForTest sets bit way (0..63, possibly at or above Ways) of
-// one set's occupancy mask without touching its invalid-way counter.
+// one set's occupancy mask without touching its invalid-way counter. It
+// gives a set without storage none, so the mark can name a way that has
+// no slot at all.
 func (t *Table[V]) CorruptMaskForTest(ti, s, way int) {
 	t.sets[ti][s].mask |= 1 << way
 }
@@ -158,7 +182,7 @@ func (t *Table[V]) CorruptBigKeysForTest(delta int) { t.bigKeys += delta }
 func (t *Table[V]) CorruptKeyForTest(oldKey, newKey uint64) bool {
 	ti, s, w, ok := t.slotOf(oldKey)
 	if ok {
-		t.setSlots(ti, s)[w].key = newKey
+		t.slots[ti][s][w].key = newKey
 		t.markPresent(oldKey, false)
 		t.markPresent(newKey, true)
 	}

@@ -289,6 +289,19 @@ func TestFaultCATTable(t *testing.T) {
 			wantViolation(t, c.CheckInvariants(), tc.want)
 		})
 	}
+	// A set gets its slots with its first entry, so no set of a fresh
+	// tracker has any. A mask bit there, with the counter kept in step,
+	// marks a way that has no slot: only the storage check can see it,
+	// and the key pass must not index the missing slots.
+	t.Run("mask-bit-on-unallocated-set", func(t *testing.T) {
+		c, err := tracker.NewCAT(cat.Spec{Sets: 8, Ways: 8}, 16, 5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.TableForTest().CorruptMaskForTest(1, 2, 0)
+		c.TableForTest().CorruptInvalidCountForTest(1, 2, -1)
+		wantViolation(t, c.CheckInvariants(), "cat/occupancy")
+	})
 }
 
 // TestFaultTrackerShadow corrupts the wrapped tracker behind the shadow

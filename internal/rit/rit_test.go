@@ -318,3 +318,40 @@ func BenchmarkRemapMiss(b *testing.B) {
 		r.Remap(uint64(50000 + i%1000))
 	}
 }
+
+// TestEvictionSequencePinned pins the exact stream of lazy evictions: a
+// small RIT full of unlocked tuples takes 1,000 over-capacity installs,
+// each of which evicts one tuple chosen by the table's RandomEntry. The
+// first evictions are spelled out and the whole sequence is folded into
+// an FNV-1a digest, so any change to RandomEntry's probe order, the RNG
+// stream or the slot layout it reads shows here.
+func TestEvictionSequencePinned(t *testing.T) {
+	r := mustNew(cat.Spec{Sets: 16, Ways: 10}, 64, 7)
+	for i := uint64(0); i < 64; i++ {
+		if _, ok := mustInstall(r, 2*i, 2*i+1); !ok {
+			t.Fatalf("fill install %d failed", i)
+		}
+	}
+	var got [][2]uint64
+	digest := uint64(14695981039346656037)
+	for i := uint64(64); i < 64+1000; i++ {
+		r.ClearLocks()
+		ev, ok := mustInstall(r, 2*i, 2*i+1)
+		if !ok || !ev.Happened {
+			t.Fatalf("install %d: ok %v, eviction %+v", i, ok, ev)
+		}
+		got = append(got, [2]uint64{ev.X, ev.Y})
+		for _, v := range [2]uint64{ev.X, ev.Y} {
+			digest = (digest ^ v) * 1099511628211
+		}
+	}
+	first := [][2]uint64{{97, 96}, {57, 56}, {53, 52}, {82, 83}, {113, 112}, {51, 50}, {88, 89}, {75, 74}}
+	for i, want := range first {
+		if got[i] != want {
+			t.Fatalf("eviction %d = %v, want %v (first evictions %v)", i, got[i], want, got[:len(first)])
+		}
+	}
+	if want := uint64(0x9f11d2c0fa692909); digest != want {
+		t.Fatalf("eviction-sequence digest %#x, want %#x", digest, want)
+	}
+}
