@@ -170,13 +170,17 @@ bench-figures:
 experiments:
 	$(GO) run ./cmd/rrs-experiments -exp all -scale 16 -epochs 1
 
-# experiments-check regenerates every table and figure and fails on any
-# byte of difference from the committed experiments_output.txt, which
-# EXPERIMENTS.md quotes.
+# experiments-check regenerates every table and figure, and the
+# shootout table at shootout-smoke's settings, and fails on any byte of
+# difference from the committed experiments_output.txt (which
+# EXPERIMENTS.md quotes) or shootout_output.txt (the defenses' verdicts,
+# DESIGN.md §11).
 experiments-check:
 	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	$(GO) run ./cmd/rrs-experiments -exp all -scale 16 -epochs 1 > "$$out" && \
-	diff -u experiments_output.txt "$$out" && echo "experiments_output.txt is current"
+	diff -u experiments_output.txt "$$out" && echo "experiments_output.txt is current" && \
+	$(GO) run ./cmd/rrs-experiments -shootout -scale 64 -epochs 1 -workloads hmmer > "$$out" && \
+	diff -u shootout_output.txt "$$out" && echo "shootout_output.txt is current"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -250,7 +250,7 @@ func runLevel(ctx context.Context, targets []string, template service.Spec,
 // reachable target's /metrics endpoint.
 func scrapeFleetCounters(ctx context.Context, targets []string) map[string]int64 {
 	interesting := []string{
-		"rrs_jobs_done_total", "rrs_jobs_shed_total", "rrs_cache_hits_total",
+		"rrs_jobs_done_total", "rrs_cache_hits_total",
 		"rrs_fleet_forwards_total", "rrs_fleet_forward_failovers_total",
 		"rrs_fleet_proxied_total", "rrs_fleet_cache_fanout_hits_total",
 		"rrs_fleet_replicated_total", "rrs_fleet_replicas_received_total",

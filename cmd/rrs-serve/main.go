@@ -55,10 +55,6 @@
 // (anti-entropy repair keeps that invariant through churn). See
 // internal/fleet, DESIGN.md §13–14.
 //
-// -admission-watermark N sheds new submissions with 429 + Retry-After
-// once the local backlog reaches N (0 disables), keeping latency
-// bounded and steering a fleet's traffic toward idle peers.
-//
 // With -debug-addr, a second listener serves net/http/pprof profiles
 // and expvar counters (for operators only — never expose it publicly):
 //
@@ -130,7 +126,6 @@ func run() error {
 		nodeID        = flag.String("node", "", "this node's id within the fleet (required with -fleet or -join)")
 		joinSeeds     = flag.String("join", "", "comma-separated peer base URLs to gossip-join a running fleet (requires -node and -advertise)")
 		advertise     = flag.String("advertise", "", "base URL peers reach this node at (required with -join)")
-		watermark     = flag.Int("admission-watermark", 0, "shed submissions with 429 once the backlog reaches this depth (0 disables)")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "fleet peer health-probe cadence")
 		replicaQueue  = flag.Int("replica-queue", 0, "bounded result-replication queue depth (0 = default 128; negative disables replication)")
 		repairEvery   = flag.Duration("repair-interval", 0, "anti-entropy replica-repair cadence (0 = default 30s; negative disables)")
@@ -149,12 +144,11 @@ func run() error {
 	}
 
 	svcOpts := service.Options{
-		Workers:            *workers,
-		QueueDepth:         *queueDepth,
-		DefaultTimeout:     *jobTimeout,
-		Journal:            journal,
-		ForceParanoid:      *paranoid,
-		AdmissionWatermark: *watermark,
+		Workers:        *workers,
+		QueueDepth:     *queueDepth,
+		DefaultTimeout: *jobTimeout,
+		Journal:        journal,
+		ForceParanoid:  *paranoid,
 	}
 
 	// Build either a lone manager or a fleet node wrapping one; both

@@ -194,15 +194,3 @@ func (m *FaultModel) PeakDisturbance() float64 { return m.peak / m.TRH }
 func (m *FaultModel) Disturbance(id dram.BankID, row int) float64 {
 	return float64(m.dist[m.bankIndex(id)][row])
 }
-
-// MaxDisturbance returns the highest current disturbance in the bank and
-// the row holding it.
-func (m *FaultModel) MaxDisturbance(id dram.BankID) (row int, d float64) {
-	bi := m.bankIndex(id)
-	for _, r := range m.dirty[bi] {
-		if v := float64(m.dist[bi][r]); v > d {
-			row, d = int(r), v
-		}
-	}
-	return row, d
-}

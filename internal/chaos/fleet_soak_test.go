@@ -85,9 +85,6 @@ func bootFleetNode(t *testing.T, hm *hostmap, roster []fleet.Peer, self fleet.Pe
 		},
 		Retry:         resilience.Policy{MaxAttempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
 		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-		Rise:          1,
-		Fall:          2,
 	}
 	if mod != nil {
 		mod(&opts)

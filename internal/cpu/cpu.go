@@ -82,9 +82,6 @@ func New(id int, cfg config.Config, r trace.Reader, budget int64) *Core {
 // Done reports whether the core has retired its instruction budget.
 func (c *Core) Done() bool { return c.done }
 
-// Clock returns the core's local time in bus cycles.
-func (c *Core) Clock() int64 { return c.clock }
-
 // Instructions returns how many instructions the core has completed.
 func (c *Core) Instructions() int64 { return c.pos }
 

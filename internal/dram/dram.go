@@ -258,9 +258,6 @@ func (s *System) BlockChannel(ch int, until int64) {
 // ChannelBlockedUntil returns the channel-block horizon.
 func (s *System) ChannelBlockedUntil(ch int) int64 { return s.blocked[ch] }
 
-// BusFreeAt returns the next free cycle of the channel's data bus.
-func (s *System) BusFreeAt(ch int) int64 { return s.busFree[ch] }
-
 // ReserveBus allocates the data bus for one line transfer starting no
 // earlier than earliest, returning the cycle the transfer starts.
 func (s *System) ReserveBus(ch int, earliest int64) int64 {

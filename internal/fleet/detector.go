@@ -21,8 +21,8 @@ type PeerHealth struct {
 // peer must answer `fall` consecutive probes wrong to leave the ring
 // and `rise` consecutive probes right to rejoin it, so one dropped
 // packet does not reshuffle job ownership. A probe passes only if both
-// /healthz (liveness) and /readyz (readiness) do — a draining or
-// overloaded peer is alive but must stop receiving forwards.
+// /healthz (liveness) and /readyz (readiness) do — a draining peer is
+// alive but must stop receiving forwards.
 type detector struct {
 	peers   []Peer // remotes only; the node accounts for itself
 	probe   func(ctx context.Context, p Peer) error

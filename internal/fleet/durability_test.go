@@ -40,9 +40,8 @@ func soloNode(t *testing.T, id string, mod func(o *Options)) *tfNode {
 				return sim.Result{IPC: float64(spec.Seed)}, nil
 			},
 		},
-		HTTPClient:    &http.Client{Timeout: 5 * time.Second},
-		Retry:         fastRetry,
-		FanoutTimeout: time.Second,
+		HTTPClient: &http.Client{Timeout: 5 * time.Second},
+		Retry:      fastRetry,
 	}
 	if mod != nil {
 		mod(&opts)
@@ -388,7 +387,7 @@ func TestFleetCacheLookupKeepsOldResults(t *testing.T) {
 			t.Fatalf("seed %d never finished", seed)
 		}
 	}
-	resp, err := http.Head(n.srv.URL + "/v1/fleet/cache/" + uniqueSpec(1).Hash())
+	resp, err := http.Head(n.srv.URL + internalPrefix + "/v1/results/" + uniqueSpec(1).Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +424,7 @@ func TestFleetRepairAfterOwnershipMoved(t *testing.T) {
 }
 
 func TestFleetFanoutBoundedByPerPeerTimeout(t *testing.T) {
-	nodes := startFleet(t, 3, func(i int, o *Options) {
-		o.FanoutTimeout = 10 * time.Second
-		o.FanoutPeerTimeout = 50 * time.Millisecond
-	})
+	nodes := startFleet(t, 3, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
@@ -437,7 +433,7 @@ func TestFleetFanoutBoundedByPerPeerTimeout(t *testing.T) {
 	for _, tn := range nodes[1:] {
 		inner := tn.swap.Load()
 		tn.swap.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/fleet/cache/") {
+			if strings.HasPrefix(r.URL.Path, internalPrefix+"/v1/results/") {
 				time.Sleep(hang)
 			}
 			inner.ServeHTTP(w, r)
@@ -449,7 +445,7 @@ func TestFleetFanoutBoundedByPerPeerTimeout(t *testing.T) {
 		t.Fatalf("run with hung peers: %v", err)
 	}
 	elapsed := time.Since(start)
-	if elapsed >= hang {
+	if elapsed >= fanoutTimeout {
 		t.Fatalf("cold submit stalled %v behind hung peers; per-peer timeout did not bound it", elapsed)
 	}
 	if nodes[0].runs.Load() != 1 {
@@ -496,7 +492,7 @@ func TestFleetFanoutAsksOnlyOwnerAndSuccessor(t *testing.T) {
 	for _, tn := range nodes {
 		inner := tn.swap.Load()
 		tn.swap.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/fleet/cache/") {
+			if strings.HasPrefix(r.URL.Path, internalPrefix+"/v1/results/") {
 				fetches.Add(1)
 			}
 			inner.ServeHTTP(w, r)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -96,9 +95,8 @@ func startFleet(t *testing.T, n int, mod func(i int, o *Options)) []*tfNode {
 					return sim.Result{IPC: float64(spec.Seed)}, nil
 				},
 			},
-			HTTPClient:    &http.Client{Timeout: 5 * time.Second},
-			Retry:         fastRetry,
-			FanoutTimeout: time.Second,
+			HTTPClient: &http.Client{Timeout: 5 * time.Second},
+			Retry:      fastRetry,
 		}
 		if mod != nil {
 			mod(i, &opts)
@@ -378,9 +376,7 @@ func TestFleetWideCacheHit(t *testing.T) {
 }
 
 func TestFleetDrainGatesReadyzAndRouting(t *testing.T) {
-	nodes := startFleet(t, 2, func(i int, o *Options) {
-		o.Fall, o.Rise = 1, 1
-	})
+	nodes := startFleet(t, 2, nil)
 	// A spec n1 owns, so routing away from it is observable.
 	spec := specOwnedBy(t, nodes, 0, 300)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -405,8 +401,10 @@ func TestFleetDrainGatesReadyzAndRouting(t *testing.T) {
 		t.Fatalf("draining /healthz: %v", err)
 	}
 
-	// One probe round is enough at fall=1 for n2 to evict n1.
-	nodes[1].node.ProbeOnce(ctx)
+	// fall probe rounds evict n1 from n2's ring.
+	for i := 0; i < fall; i++ {
+		nodes[1].node.ProbeOnce(ctx)
+	}
 	if len(nodes[1].node.det.Routable()) != 0 {
 		t.Fatalf("n2 still routes to draining n1")
 	}
@@ -427,60 +425,6 @@ func TestFleetDrainGatesReadyzAndRouting(t *testing.T) {
 	}
 	if nodes[0].runs.Load() != 0 {
 		t.Fatalf("draining n1 ran a job")
-	}
-}
-
-func TestFleetAdmissionShedding(t *testing.T) {
-	gate := make(chan struct{})
-	nodes := startFleet(t, 1, func(i int, o *Options) {
-		o.Service.AdmissionWatermark = 1
-		o.Service.Run = func(_ context.Context, spec service.Spec, _ func(int64, int64)) (sim.Result, error) {
-			<-gate
-			return sim.Result{IPC: float64(spec.Seed)}, nil
-		}
-	})
-	defer close(gate)
-	n := nodes[0]
-
-	post := func(seed uint64) *http.Response {
-		body, _ := json.Marshal(uniqueSpec(seed))
-		resp, err := http.Post(n.srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("post seed %d: %v", seed, err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	// First job occupies the single worker...
-	if resp := post(1); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("job 1 status = %d, want 201", resp.StatusCode)
-	}
-	waitFor(t, func() bool { _, busy, _ := n.node.mgr.Load(); return busy == 1 })
-	// ...second fills the queue to the watermark...
-	if resp := post(2); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("job 2 status = %d, want 201", resp.StatusCode)
-	}
-	// ...third sheds with a backoff hint instead of deepening the queue.
-	resp := post(3)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("job 3 status = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("shed response missing Retry-After")
-	}
-	if counter(n, "rrs_jobs_shed_total") != 1 {
-		t.Fatalf("rrs_jobs_shed_total = %d, want 1", counter(n, "rrs_jobs_shed_total"))
-	}
-
-	// The overload also shows on /readyz, so peers stop routing here.
-	r2, err := http.Get(n.srv.URL + "/readyz")
-	if err != nil {
-		t.Fatalf("readyz: %v", err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded /readyz = %d, want 503", r2.StatusCode)
 	}
 }
 

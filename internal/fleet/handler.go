@@ -17,12 +17,13 @@ import (
 //	GET/DELETE /v1/jobs/{id}...   proxied to the job's home node (by id prefix)
 //	POST /v1/sweeps               accepted locally; children ring-route by their own hash
 //	GET  /v1/results/{hash}       result by content hash, fleet-wide (local store, then peers)
-//	GET  /v1/fleet/cache/{hash}   local result-store lookup (the fan-out target)
 //	POST /v1/fleet/replica        accept a result copy into the local store
 //	POST /v1/fleet/gossip         membership-table exchange (probe piggyback)
 //	GET  /v1/fleet/members        the local membership table
 //	GET  /v1/fleet/status         ring membership and load
-//	/v1/fleet/local/*             the unrouted single-node API (peer traffic)
+//	/v1/fleet/local/*             the unrouted single-node API (peer traffic:
+//	                              forwards, proxies, and the fan-out's and
+//	                              repair's /v1/results/{hash} lookups)
 //
 // Everything else (list, healthz, readyz, metrics) falls through to the
 // local service handler.
@@ -45,7 +46,6 @@ func (n *Node) Handler() http.Handler {
 
 	mux.HandleFunc("GET /v1/results/{hash}", n.handleResultByHash)
 
-	mux.HandleFunc("GET /v1/fleet/cache/{hash}", n.handleCache)
 	mux.HandleFunc("POST /v1/fleet/replica", n.handleReplica)
 	mux.HandleFunc("POST /v1/fleet/gossip", n.handleGossip)
 	mux.HandleFunc("GET /v1/fleet/members", n.handleMembers)
@@ -168,18 +168,6 @@ func (n *Node) handleRouted(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-}
-
-// handleCache answers a peer's fan-out lookup from the local result
-// store only — it must never trigger a run or a further fan-out.
-func (n *Node) handleCache(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	if res, ok := n.mgr.CachedResult(hash); ok {
-		service.WriteJSON(w, http.StatusOK, cacheEnvelope{Hash: hash, Result: res})
-		return
-	}
-	service.WriteError(w, http.StatusNotFound,
-		fmt.Errorf("hash %s not cached on %s", hash, n.self.ID))
 }
 
 // handleGossip is the receiving half of the probe-piggybacked

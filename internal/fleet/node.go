@@ -38,22 +38,6 @@ type Options struct {
 
 	// ProbeInterval is the failure-detector cadence (default 500 ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip (default 2 s).
-	ProbeTimeout time.Duration
-	// Rise and Fall are the hysteresis thresholds: consecutive probe
-	// successes to rejoin the ring and failures to leave it (defaults
-	// 2 and 3).
-	Rise, Fall int
-
-	// FanoutTimeout bounds the fleet-wide cache lookup before a run
-	// (default 1 s). The lookup is best-effort: a miss or timeout just
-	// runs the simulation.
-	FanoutTimeout time.Duration
-	// FanoutPeerTimeout bounds each individual peer fetch inside the
-	// fan-out (default 250 ms, capped at FanoutTimeout), so one hung
-	// peer burns its own slice of the budget instead of stalling every
-	// cold submit for the full FanoutTimeout.
-	FanoutPeerTimeout time.Duration
 
 	// ReplicationQueue bounds the asynchronous result-replication queue
 	// (default 128; negative disables replication). When the queue is
@@ -65,10 +49,27 @@ type Options struct {
 	// disables the loop). Each tick verifies a batch of locally held
 	// results still have a live replica, re-pushing any that do not.
 	RepairInterval time.Duration
-	// RepairBatch is how many held results one repair tick checks
-	// (default 16) — the loop is deliberately low-rate.
-	RepairBatch int
 }
+
+const (
+	// probeTimeout bounds one probe round trip, and one attempt to
+	// submit a sweep child to its owner.
+	probeTimeout = 2 * time.Second
+	// rise and fall are the detector's hysteresis thresholds:
+	// consecutive probe successes to rejoin the ring and failures to
+	// leave it.
+	rise, fall = 2, 3
+	// fanoutTimeout bounds the fleet-wide cache lookup before a run. The
+	// lookup is best-effort: a miss or timeout just runs the simulation.
+	fanoutTimeout = time.Second
+	// fanoutPeerTimeout bounds each peer fetch inside the fan-out, so
+	// one hung peer burns its own slice of the budget instead of
+	// stalling every cold submit for the full fanoutTimeout.
+	fanoutPeerTimeout = 250 * time.Millisecond
+	// repairBatch is how many held results one repair tick checks — the
+	// loop is deliberately low-rate.
+	repairBatch = 16
+)
 
 func (o Options) withDefaults() Options {
 	if o.HTTPClient == nil {
@@ -77,32 +78,11 @@ func (o Options) withDefaults() Options {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 500 * time.Millisecond
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.Rise <= 0 {
-		o.Rise = 2
-	}
-	if o.Fall <= 0 {
-		o.Fall = 3
-	}
-	if o.FanoutTimeout <= 0 {
-		o.FanoutTimeout = time.Second
-	}
-	if o.FanoutPeerTimeout <= 0 {
-		o.FanoutPeerTimeout = 250 * time.Millisecond
-	}
-	if o.FanoutPeerTimeout > o.FanoutTimeout {
-		o.FanoutPeerTimeout = o.FanoutTimeout
-	}
 	if o.ReplicationQueue == 0 {
 		o.ReplicationQueue = 128
 	}
 	if o.RepairInterval == 0 {
 		o.RepairInterval = 30 * time.Second
-	}
-	if o.RepairBatch <= 0 {
-		o.RepairBatch = 16
 	}
 	return o
 }
@@ -218,7 +198,7 @@ func New(opts Options) (*Node, error) {
 	n.mgr = service.NewManager(so)
 	n.local = service.Handler(n.mgr)
 
-	n.det = newDetector(n.mem.remotes(), opts.Rise, opts.Fall, opts.ProbeTimeout,
+	n.det = newDetector(n.mem.remotes(), rise, fall, probeTimeout,
 		n.probePeer, func(p Peer, routable bool) {
 			n.met.Inc("rrs_fleet_peer_flaps_total", 1)
 		})
@@ -507,21 +487,17 @@ func (n *Node) fanoutRun(inner service.RunFunc) service.RunFunc {
 	}
 }
 
-// cacheEnvelope is the GET /v1/fleet/cache/{hash} payload.
-type cacheEnvelope struct {
-	Hash   string     `json:"hash"`
-	Result sim.Result `json:"result"`
-}
-
 // peerCached asks the hash's ring owner and that owner's successor,
 // self skipped, and returns the first hit. Those are the two nodes
 // replication puts a result on (the node that computed it, normally the
 // owner, plus the first other live peer in rank order); anti-entropy
 // repair restores that placement after churn, so asking the rest of the
-// ring would only multiply the cost of every cold run. Each fetch gets
-// its own FanoutPeerTimeout slice of the FanoutTimeout budget, so one
-// hung peer times out alone instead of pinning every cold submit to the
-// full fan-out deadline. Best-effort: errors and timeouts are misses.
+// ring would only multiply the cost of every cold run. Each fetch is
+// one GET of the peer's internal /v1/results/{hash}, which answers from
+// that peer's store alone, and gets its own fanoutPeerTimeout slice of
+// the fanoutTimeout budget, so one hung peer times out alone instead of
+// pinning every cold submit to the full fan-out deadline. Best-effort:
+// errors and timeouts are misses.
 func (n *Node) peerCached(ctx context.Context, hash string) (sim.Result, bool) {
 	var peers []Peer
 	for i, p := range rank(hash, n.liveSet()) {
@@ -536,7 +512,7 @@ func (n *Node) peerCached(ctx context.Context, hash string) (sim.Result, bool) {
 		return sim.Result{}, false
 	}
 	n.met.Inc("rrs_fleet_cache_fanout_checks_total", 1)
-	fctx, cancel := context.WithTimeout(ctx, n.opts.FanoutTimeout)
+	fctx, cancel := context.WithTimeout(ctx, fanoutTimeout)
 	defer cancel()
 	type answer struct {
 		res sim.Result
@@ -545,10 +521,11 @@ func (n *Node) peerCached(ctx context.Context, hash string) (sim.Result, bool) {
 	ch := make(chan answer, len(peers))
 	for _, p := range peers {
 		go func(p Peer) {
-			pctx, pcancel := context.WithTimeout(fctx, n.opts.FanoutPeerTimeout)
+			pctx, pcancel := context.WithTimeout(fctx, fanoutPeerTimeout)
 			defer pcancel()
-			res, ok := n.fetchCached(pctx, p, hash)
-			ch <- answer{res, ok}
+			var env service.ResultEnvelope
+			ok := n.peerLookup(pctx, http.MethodGet, p, hash, &env)
+			ch <- answer{env.Result, ok}
 		}(p)
 	}
 	for range peers {
@@ -560,23 +537,22 @@ func (n *Node) peerCached(ctx context.Context, hash string) (sim.Result, bool) {
 	return sim.Result{}, false
 }
 
-func (n *Node) fetchCached(ctx context.Context, p Peer, hash string) (sim.Result, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		p.URL+"/v1/fleet/cache/"+hash, nil)
+// peerLookup sends one request (GET, or HEAD with a nil env) to p's
+// internal GET /v1/results/{hash} and reports whether p's store holds
+// hash. A GET decodes the ResultEnvelope into env.
+func (n *Node) peerLookup(ctx context.Context, method string, p Peer, hash string, env *service.ResultEnvelope) bool {
+	req, err := http.NewRequestWithContext(ctx, method,
+		p.URL+internalPrefix+"/v1/results/"+hash, nil)
 	if err != nil {
-		return sim.Result{}, false
+		return false
 	}
 	resp, err := n.hc.Do(req)
 	if err != nil {
-		return sim.Result{}, false
+		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return sim.Result{}, false
+		return false
 	}
-	var env cacheEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return sim.Result{}, false
-	}
-	return env.Result, true
+	return env == nil || json.NewDecoder(resp.Body).Decode(env) == nil
 }

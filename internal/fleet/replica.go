@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	"repro/internal/resilience"
+	"repro/internal/service"
 	"repro/internal/sim"
 )
 
@@ -122,7 +123,7 @@ func (n *Node) pushReplica(ctx context.Context, hash string, res sim.Result) boo
 
 // sendReplica is one POST /v1/fleet/replica attempt.
 func (n *Node) sendReplica(ctx context.Context, p Peer, hash string, res sim.Result) error {
-	body, err := json.Marshal(cacheEnvelope{Hash: hash, Result: res})
+	body, err := json.Marshal(service.ResultEnvelope{Hash: hash, Result: res})
 	if err != nil {
 		return err
 	}
@@ -143,23 +144,7 @@ func (n *Node) sendReplica(ctx context.Context, p Peer, hash string, res sim.Res
 	return nil
 }
 
-// peerHolds asks whether p's cache has hash, cheaply: a HEAD against
-// the cache endpoint (the GET route answers HEAD with headers only).
-func (n *Node) peerHolds(ctx context.Context, p Peer, hash string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead,
-		p.URL+"/v1/fleet/cache/"+hash, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-// RepairOnce runs one anti-entropy batch: walk up to RepairBatch of
+// RepairOnce runs one anti-entropy batch: walk up to repairBatch of
 // the results this node holds (the result store's keys in sorted order,
 // cursor-advanced across calls so big sets are covered a slice at a
 // time), verify the current replica target still holds each one, and
@@ -173,10 +158,7 @@ func (n *Node) RepairOnce(ctx context.Context) (checked, repaired int) {
 	}
 	n.mu.Lock()
 	start := n.repairIdx % len(hashes)
-	batch := n.opts.RepairBatch
-	if batch > len(hashes) {
-		batch = len(hashes)
-	}
+	batch := min(repairBatch, len(hashes))
 	n.repairIdx = (start + batch) % len(hashes)
 	n.mu.Unlock()
 
@@ -191,7 +173,7 @@ func (n *Node) RepairOnce(ctx context.Context) (checked, repaired int) {
 		}
 		checked++
 		n.met.Inc("rrs_fleet_repair_checks_total", 1)
-		if n.peerHolds(ctx, target, hash) {
+		if n.peerLookup(ctx, http.MethodHead, target, hash, nil) {
 			continue
 		}
 		res, ok := n.mgr.CachedResult(hash)
@@ -210,7 +192,7 @@ func (n *Node) RepairOnce(ctx context.Context) (checked, repaired int) {
 // No job record is created and OnResult does not fire — a replica must
 // never fan back out from the receiving side.
 func (n *Node) handleReplica(w http.ResponseWriter, r *http.Request) {
-	var env cacheEnvelope
+	var env service.ResultEnvelope
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err := dec.Decode(&env); err != nil {
 		http.Error(w, "bad replica payload: "+err.Error(), http.StatusBadRequest)

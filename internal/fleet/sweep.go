@@ -91,7 +91,7 @@ func (c *remoteChild) place(ctx context.Context) (placed bool, err error) {
 // failures under Options.Retry — except a 429, which returns at once so
 // the caller can wait the full queue out instead of sleeping through
 // the owner's Retry-After hint. A submission only queues the child, so
-// each attempt gets ProbeTimeout, like a probe: an owner that hangs
+// each attempt gets probeTimeout, like a probe: an owner that hangs
 // costs the feeder that long per attempt, not the HTTP client's timeout.
 func (n *Node) submitChild(ctx context.Context, p Peer, spec service.Spec) (service.JobView, error) {
 	once := service.NewClient(p.URL+internalPrefix,
@@ -99,7 +99,7 @@ func (n *Node) submitChild(ctx context.Context, p Peer, spec service.Spec) (serv
 		service.WithRetryPolicy(resilience.Policy{MaxAttempts: 1}))
 	var v service.JobView
 	err := resilience.Do(ctx, n.opts.Retry, func(ctx context.Context) error {
-		actx, cancel := context.WithTimeout(ctx, n.opts.ProbeTimeout)
+		actx, cancel := context.WithTimeout(ctx, probeTimeout)
 		defer cancel()
 		var err error
 		v, err = once.Submit(actx, spec)

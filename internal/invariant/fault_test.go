@@ -64,6 +64,13 @@ func TestFaultRIT(t *testing.T) {
 		{"presence-cleared", "cat/presence", func(r *rit.RIT) { r.CorruptPresenceForTest(0) }},
 		{"presence-stale", "cat/presence", func(r *rit.RIT) { r.CorruptPresenceForTest(999) }},
 		{"bigrows-counter", "cat/presence", func(r *rit.RIT) { r.CorruptBigRowsForTest(1) }},
+		{"mask-bit-past-ways", "cat/occupancy", func(r *rit.RIT) {
+			// Way 10 does not exist with 10 ways; the counter is kept in
+			// step, so only the range check can see it, and the tuple
+			// pass must not index the missing way.
+			r.TableForTest().CorruptMaskForTest(1, 3, 10)
+			r.TableForTest().CorruptInvalidCountForTest(1, 3, -1)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,6 +79,17 @@ func TestFaultRIT(t *testing.T) {
 			wantViolation(t, r.CheckInvariants(), tc.want)
 		})
 	}
+	// No set of a fresh RIT has slots. A mask bit there, with the
+	// counter kept in step, marks a way that has no slot.
+	t.Run("mask-bit-on-unallocated-set", func(t *testing.T) {
+		r, err := rit.New(cat.Spec{Sets: 16, Ways: 10}, 64, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.TableForTest().CorruptMaskForTest(1, 2, 0)
+		r.TableForTest().CorruptInvalidCountForTest(1, 2, -1)
+		wantViolation(t, r.CheckInvariants(), "cat/occupancy")
+	})
 }
 
 func TestFaultRITShadowSweep(t *testing.T) {

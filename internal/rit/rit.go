@@ -236,8 +236,9 @@ func (r *RIT) ForEachTuple(fn func(x, y uint64, locked bool) bool) {
 // CheckInvariants verifies the structural invariants of the table and
 // returns a typed *invariant.Violation describing the first breach:
 //
-//   - cat/presence: the table's miss-path bitset agrees exactly with its
-//     membership (checked first: every other check looks rows up).
+//   - cat/*: the table's own checks (occupancy, placement, size and
+//     presence; see cat.Table.CheckInvariants), run first: every other
+//     check walks the slots and looks rows up.
 //   - rit/involution: every entry X -> Y has a reverse entry Y -> X.
 //   - rit/locks: both entries of a tuple carry the same lock bit.
 //   - rit/count: entry count equals 2x the tuple counter, which never
@@ -246,7 +247,7 @@ func (r *RIT) ForEachTuple(fn func(x, y uint64, locked bool) bool) {
 // Cost is O(slots + bitset words); the paranoid engine runs it on a
 // cadence and tests call it after mutation sequences.
 func (r *RIT) CheckInvariants() error {
-	if err := r.tab.CheckPresence(); err != nil {
+	if err := r.tab.CheckInvariants(); err != nil {
 		return err
 	}
 	var verr error
@@ -425,3 +426,12 @@ func (r *RIT) CorruptPresenceForTest(row uint64) { r.tab.CorruptPresenceForTest(
 
 // CorruptBigRowsForTest skews the table's large-key counter.
 func (r *RIT) CorruptBigRowsForTest(delta int) { r.tab.CorruptBigKeysForTest(delta) }
+
+// TableForTest exposes the underlying CAT so the fault-injection suite
+// can corrupt its occupancy masks and invalid-way counters.
+func (r *RIT) TableForTest() interface {
+	CorruptMaskForTest(ti, s, way int)
+	CorruptInvalidCountForTest(ti, s, delta int)
+} {
+	return r.tab
+}

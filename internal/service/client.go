@@ -111,9 +111,9 @@ func (c *Client) Health(ctx context.Context) error {
 }
 
 // Ready checks GET /readyz with a single probe — no retries, because a
-// readiness probe wants the instantaneous verdict: a draining or
-// overloaded node answers 503 and the prober must see that, not a
-// smoothed-over success. Returns nil only for a 200.
+// readiness probe wants the instantaneous verdict: a draining node
+// answers 503 and the prober must see that, not a smoothed-over
+// success. Returns nil only for a 200.
 func (c *Client) Ready(ctx context.Context) error {
 	_, _, _, err := c.roundTrip(ctx, http.MethodGet, "/readyz", nil)
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 //	DELETE /v1/sweeps/{id}   cancel active / delete terminal → 200 SweepView
 //	GET    /v1/results/{hash} result by content hash → 200 ResultEnvelope | 404
 //	GET    /healthz          liveness             → 200 {"status":"ok",...}
-//	GET    /readyz           readiness            → 200, or 503 while draining/overloaded
+//	GET    /readyz           readiness            → 200, or 503 while draining
 //	GET    /metrics          Prometheus text (or JSON with ?format=json)
 const apiPrefix = "/v1/jobs"
 
@@ -149,29 +149,21 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReady serves GET /readyz: 503 while the manager drains (or has
-// closed) or while admission control is shedding, 200 otherwise. The
-// split from /healthz is what lets a load balancer — or a fleet peer's
-// failure detector — stop routing to a draining node that is still
-// alive and finishing its backlog.
+// closed), 200 otherwise. The split from /healthz is what lets a load
+// balancer — or a fleet peer's failure detector — stop routing to a
+// draining node that is still alive and finishing its backlog.
 func handleReady(m *Manager, w http.ResponseWriter, r *http.Request) {
 	backlog := m.queue.Len()
-	switch {
-	case m.Draining():
+	if m.Draining() {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining", "queue": backlog,
 		})
-	case m.opts.AdmissionWatermark > 0 && backlog >= m.opts.AdmissionWatermark:
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "overloaded", "queue": backlog,
-			"watermark": m.opts.AdmissionWatermark,
-		})
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "ready", "queue": backlog,
-		})
+		return
 	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status": "ready", "queue": backlog,
+	})
 }
 
 // ReadSpec decodes a submission body, enforcing the size bound and
@@ -198,13 +190,13 @@ func ReadSpec(w http.ResponseWriter, r *http.Request) (Spec, bool) {
 
 // RespondSubmit submits spec to m and writes the canonical HTTP
 // response: 201 on acceptance, 200 on a cache hit, 429 + Retry-After on
-// backpressure (full queue or shed by admission control), 503 on
-// drain/shutdown. Shared by the plain handler and the fleet layer so a
-// forwarded submission answers byte-identically to a local one.
+// a full queue, 503 on drain/shutdown. Shared by the plain handler and
+// the fleet layer so a forwarded submission answers byte-identically to
+// a local one.
 func RespondSubmit(m *Manager, w http.ResponseWriter, spec Spec) {
 	j, err := m.Submit(spec)
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeError(w, http.StatusTooManyRequests, err)
 		return

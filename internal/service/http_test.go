@@ -266,13 +266,7 @@ func TestFailedJobResultReports422(t *testing.T) {
 }
 
 func TestReadyzSplitFromHealthz(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate)
-	srv, m := newTestServer(t, Options{Workers: 1, AdmissionWatermark: 2},
-		func(_ context.Context, spec Spec, _ func(int64, int64)) (sim.Result, error) {
-			<-gate
-			return sim.Result{IPC: float64(spec.Seed)}, nil
-		})
+	srv, m := newTestServer(t, Options{Workers: 1}, instantRun)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	client := NewClient(srv.URL)
@@ -295,37 +289,19 @@ func TestReadyzSplitFromHealthz(t *testing.T) {
 		t.Fatalf("Client.Ready idle: %v", err)
 	}
 
-	// Backlog at the watermark: not ready (503 + Retry-After), but
-	// alive — the node is degraded, not dead, and a load balancer must
-	// be able to tell. Fill to exactly the watermark: one job running
-	// (off the queue) plus two queued.
-	if _, err := m.Submit(uniqueSpec(1)); err != nil {
-		t.Fatalf("submit 1: %v", err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, busy, _ := m.Load(); busy == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never claimed the first job")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for seed := uint64(2); seed <= 3; seed++ {
-		if _, err := m.Submit(uniqueSpec(seed)); err != nil {
-			t.Fatalf("submit %d: %v", seed, err)
-		}
-	}
+	// Draining: not ready (503 + Retry-After), but alive — the node is
+	// finishing its backlog, not dead, and a load balancer must be able
+	// to tell.
+	m.StartDrain()
 	resp := get("/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded /readyz = %d, want 503", resp.StatusCode)
+		t.Fatalf("draining /readyz = %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("overloaded /readyz missing Retry-After")
+		t.Fatalf("draining /readyz missing Retry-After")
 	}
 	if resp := get("/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("overloaded /healthz = %d, want 200 (alive)", resp.StatusCode)
+		t.Fatalf("draining /healthz = %d, want 200 (alive)", resp.StatusCode)
 	}
 	// Client.Ready reports the instantaneous verdict instead of
 	// retrying the 503 into a timeout.
@@ -333,7 +309,7 @@ func TestReadyzSplitFromHealthz(t *testing.T) {
 	err := client.Ready(ctx)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-		t.Fatalf("Client.Ready overloaded = %v, want 503 APIError", err)
+		t.Fatalf("Client.Ready draining = %v, want 503 APIError", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Client.Ready took %v; a probe must not retry", elapsed)

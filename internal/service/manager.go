@@ -174,13 +174,6 @@ type Options struct {
 	// result polls by this prefix. Single-node deployments leave it
 	// empty and keep the bare id format.
 	NodeID string
-	// AdmissionWatermark sheds load before the queue is hard-full: once
-	// the backlog has reached it, Submit refuses work that would need a
-	// simulation with ErrOverloaded (HTTP 429 + Retry-After). Cache
-	// hits and coalesced submissions are still answered — they cost no
-	// worker. 0 disables shedding; the hard QueueDepth bound still
-	// applies.
-	AdmissionWatermark int
 	// Run overrides the simulation executor (nil = the built-in engine).
 	// The fleet wraps it with its cache fan-out and tests with stubs or
 	// a poison-spec panic. A run error fails its job: the simulator is
@@ -193,10 +186,10 @@ type Options struct {
 	// means the child was accepted elsewhere: the manager calls it on a
 	// goroutine that holds no worker and settles the child's record with
 	// its outcome. That record is journaled only if it ends done, so a
-	// resumed sweep routes an unfinished child again. ErrQueueFull and
-	// ErrOverloaded make the feeder back off and retry. The fleet layer
-	// routes children to their ring owner here (by their own content
-	// hash, so one sweep spreads across the fleet); nil queues them all.
+	// resumed sweep routes an unfinished child again. ErrQueueFull makes
+	// the feeder back off and retry. The fleet layer routes children to
+	// their ring owner here (by their own content hash, so one sweep
+	// spreads across the fleet); nil queues them all.
 	RouteChild func(ctx context.Context, spec Spec) (wait func(ctx context.Context) (sim.Result, error), err error)
 	// OnResult, when non-nil, observes every result this manager computes
 	// the moment it enters the result store, already Timeline- and
@@ -336,7 +329,6 @@ func (m *Manager) registerMetrics() {
 		"rrs_jobs_failed_total":           "Jobs that ended in error (timeouts included).",
 		"rrs_jobs_cancelled_total":        "Jobs cancelled before completing.",
 		"rrs_jobs_rejected_total":         "Submissions refused by a full queue.",
-		"rrs_jobs_shed_total":             "Submissions shed by admission control (backlog over the watermark).",
 		"rrs_jobs_requeued_total":         "Jobs whose terminal record was withheld during a drain so a restart's journal replay re-enqueues them.",
 		"rrs_jobs_coalesced_total":        "Submissions answered by an already queued or running job with the same spec hash.",
 		"rrs_jobs_restored_total":         "Jobs restored from the journal at startup (pending re-enqueues plus terminal records).",
@@ -574,15 +566,6 @@ func (m *Manager) submit(ctx context.Context, spec Spec, child bool) (j *Job, co
 	// Admission happens before the job becomes visible: a refused job is
 	// never indexed, coalesced onto or journaled, so a refusal costs no
 	// disk write and no caller can be handed a job that is then dropped.
-	if wm := m.opts.AdmissionWatermark; wm > 0 && m.queue.Len() >= wm {
-		// Graceful degradation: past the watermark, refuse work that
-		// would need a simulation rather than letting the backlog build
-		// to the hard bound. The 429 + Retry-After this maps to tells
-		// well-behaved clients (and forwarding fleet peers) to back off
-		// or fail over.
-		m.met.Inc("rrs_jobs_shed_total", 1)
-		return nil, false, ErrOverloaded
-	}
 	if err := m.queue.reserve(); err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			m.met.Inc("rrs_jobs_rejected_total", 1)
@@ -926,8 +909,10 @@ func (m *Manager) finish(j *Job, state State, errMsg string, result ...*sim.Resu
 // polls of the job do not wait on the disk; the result, the new state
 // and the closed done channel are published only after the append
 // returns, so nothing reports a job done before its terminal record is
-// durable. The result is stored before the state flips, so no reader
-// sees a done job whose result the store does not hold. A routed
+// durable. The result is stored, and handed to OnResult, before the
+// state flips, so no reader sees a done job whose result the store does
+// not hold, and a caller that sees a job done and then flushes the
+// fleet's replication queue finds the result queued. A routed
 // child has no accept line yet; it goes out in the same write as the
 // terminal line.
 func (m *Manager) settle(j *Job, state State, errMsg string, res *sim.Result, journal bool) {
@@ -943,6 +928,9 @@ func (m *Manager) settle(j *Job, state State, errMsg string, res *sim.Result, jo
 	}
 	if res != nil {
 		m.store(j.hash, *res)
+		if !j.remote && m.opts.OnResult != nil {
+			m.opts.OnResult(j.hash, *res)
+		}
 	}
 	j.mu.Lock()
 	j.state = state
@@ -952,9 +940,6 @@ func (m *Manager) settle(j *Job, state State, errMsg string, res *sim.Result, jo
 		j.progress = 1
 	}
 	j.mu.Unlock()
-	if res != nil && !j.remote && m.opts.OnResult != nil {
-		m.opts.OnResult(j.hash, *res)
-	}
 	m.retire(j)
 	close(j.done)
 }
@@ -976,9 +961,6 @@ func (m *Manager) Draining() bool {
 	defer m.mu.Unlock()
 	return m.draining || m.closed
 }
-
-// Backlog reports how many accepted jobs are waiting for a worker.
-func (m *Manager) Backlog() int { return m.queue.Len() }
 
 // Load reports the serving pressure: queued backlog, workers mid-run,
 // and the pool size, as the fleet's status endpoint shows them.

@@ -13,11 +13,6 @@ var ErrQueueFull = errors.New("service: job queue full")
 // down.
 var ErrClosed = errors.New("service: manager closed")
 
-// ErrOverloaded is returned by Manager.Submit when admission control
-// sheds the job (backlog at or over Options.AdmissionWatermark); HTTP
-// maps it to 429 with a Retry-After hint.
-var ErrOverloaded = errors.New("service: server overloaded, try again later")
-
 // ErrDraining is returned by Manager.Submit while the manager drains
 // for shutdown; HTTP maps it to 503 with a Retry-After hint.
 var ErrDraining = errors.New("service: server draining")
@@ -40,15 +35,6 @@ func newFIFO(capacity int) *fifo {
 	q := &fifo{cap: capacity}
 	q.cond = sync.NewCond(&q.mu)
 	return q
-}
-
-// Push appends j, reporting ErrQueueFull at capacity and ErrClosed
-// after Close.
-func (q *fifo) Push(j *Job) error {
-	if err := q.reserve(); err != nil {
-		return err
-	}
-	return q.commit(j)
 }
 
 // reserve claims a slot for a later commit, reporting ErrQueueFull at

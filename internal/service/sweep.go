@@ -480,13 +480,13 @@ var admission = resilience.Policy{MaxAttempts: -1,
 	BaseDelay: 2 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
 
 // AwaitAdmission calls submit until it stops failing for want of room
-// (ErrQueueFull or ErrOverloaded, from this node's queue or an owner's
-// 429 through Options.RouteChild), backing off between tries. It
+// (ErrQueueFull, from this node's queue or an owner's 429 through
+// Options.RouteChild), backing off between tries. It
 // returns submit's first other outcome, or ctx's error.
 func AwaitAdmission(ctx context.Context, submit func() error) error {
 	return resilience.Do(ctx, admission, func(context.Context) error {
 		err := submit()
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrOverloaded) {
+		if errors.Is(err, ErrQueueFull) {
 			return resilience.MarkTransient(err)
 		}
 		return resilience.MarkPermanent(err)

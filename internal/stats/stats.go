@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -36,87 +35,6 @@ func GeoMean(xs []float64) float64 {
 	}
 	return math.Exp(s / float64(len(xs)))
 }
-
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation; it panics on an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	if p <= 0 {
-		return ys[0]
-	}
-	if p >= 100 {
-		return ys[len(ys)-1]
-	}
-	pos := p / 100 * float64(len(ys)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(ys) {
-		return ys[lo]
-	}
-	return ys[lo]*(1-frac) + ys[lo+1]*frac
-}
-
-// Histogram is a fixed-bucket counting histogram over int64 values.
-type Histogram struct {
-	bounds []int64 // ascending upper bounds; last bucket is overflow
-	counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with the given ascending bucket upper
-// bounds. Values above the last bound land in an overflow bucket.
-func NewHistogram(bounds ...int64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v int64) {
-	h.total++
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Count returns the count in bucket i (len(bounds) is the overflow bucket).
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// Buckets returns the number of buckets including overflow.
-func (h *Histogram) Buckets() int { return len(h.counts) }
 
 // Table renders an aligned text table: one header row plus data rows.
 // It is deliberately minimal — experiments print tables that match the
@@ -200,31 +118,6 @@ func (t *Table) String() string {
 
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
-
-// Counter is a named monotonic counter set, used for simulator statistics.
-type Counter struct {
-	m     map[string]int64
-	order []string
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter {
-	return &Counter{m: make(map[string]int64)}
-}
-
-// Add increments name by delta, registering it on first use.
-func (c *Counter) Add(name string, delta int64) {
-	if _, ok := c.m[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.m[name] += delta
-}
-
-// Get returns the value of name (0 if never added).
-func (c *Counter) Get(name string) int64 { return c.m[name] }
-
-// Names returns counter names in first-use order.
-func (c *Counter) Names() []string { return append([]string(nil), c.order...) }
 
 // CSV renders the table as comma-separated values (header row first).
 // Cells containing commas or quotes are quoted per RFC 4180.

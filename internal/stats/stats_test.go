@@ -46,54 +46,6 @@ func TestGeoMeanLeqMean(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if Min(xs) != 1 || Max(xs) != 3 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {100, 50}, {50, 30}, {25, 20},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEqual(got, c.want) {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Interpolation between points.
-	if got := Percentile([]float64{0, 10}, 50); !almostEqual(got, 5) {
-		t.Errorf("P50 of {0,10} = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 100)
-	for _, v := range []int64{5, 10, 11, 100, 1000} {
-		h.Add(v)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Buckets() != 3 {
-		t.Fatalf("Buckets = %d", h.Buckets())
-	}
-	if h.Count(0) != 2 || h.Count(1) != 2 || h.Count(2) != 1 {
-		t.Fatalf("counts %d/%d/%d", h.Count(0), h.Count(1), h.Count(2))
-	}
-}
-
-func TestHistogramBadBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(10, 10)
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("name", "value")
 	tab.AddRow("alpha", 1.5)
@@ -141,23 +93,6 @@ func TestFormatFloat(t *testing.T) {
 		if got := FormatFloat(c.v); got != c.want {
 			t.Errorf("FormatFloat(%v) = %q, want %q", c.v, got, c.want)
 		}
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("reads", 3)
-	c.Add("writes", 1)
-	c.Add("reads", 2)
-	if c.Get("reads") != 5 || c.Get("writes") != 1 {
-		t.Fatalf("counters %d/%d", c.Get("reads"), c.Get("writes"))
-	}
-	if c.Get("absent") != 0 {
-		t.Fatal("absent counter nonzero")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "reads" || names[1] != "writes" {
-		t.Fatalf("names %v", names)
 	}
 }
 

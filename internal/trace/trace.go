@@ -170,8 +170,6 @@ func (r *splitmix) uint64n(n uint64) uint64 {
 	return r.next() % n // bias < 2^-40 for n < 2^24; fine for synthesis
 }
 
-func (r *splitmix) intn(n int) int { return int(r.uint64n(uint64(n))) }
-
 // GeneratorParams tie the generator to the memory geometry.
 type GeneratorParams struct {
 	// LineBytes is the cache line size (64).
