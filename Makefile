@@ -134,7 +134,8 @@ bench-micro:
 # holding per-row ACT counts, so a row-indexed array over a whole bank
 # cannot come back unnoticed where only the touched rows need state.
 # The same holds for CAT slots: an RRS is built without any, and a set
-# gets its slots with its first entry.
+# gets its slots with its first entry. Rubix is built with its forward
+# row maps only; a bank's inverse waits for the first Occupant call.
 alloc-check:
 	$(GO) test -run 'AllocFree|AllocBytes' -count=1 ./internal/rit ./internal/tracker \
 		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation ./internal/cpu \

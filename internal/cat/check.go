@@ -17,7 +17,7 @@ import (
 //     it (recomputed from each table's own hash).
 //   - cat/size: the size counter equals the number of occupied slots.
 //   - cat/presence: the miss-path bitset and large-key counter agree
-//     exactly with table membership (see CheckPresence).
+//     exactly with table membership (see checkPresence).
 //
 // Every set's occupancy is checked before any slot is read, so the key
 // pass only indexes ways that exist. Cost is O(slots) and no allocation;
@@ -74,27 +74,21 @@ func (t *Table[V]) CheckInvariants() error {
 		return invariant.Violatedf("cat/size",
 			"size counter %d, valid slots %d", t.size, total)
 	}
-	return t.CheckPresence()
+	return t.checkPresence()
 }
 
-// CheckPresence verifies the cat/presence invariant alone: every stored
-// key under the bitset bound has its bit set, the large-key counter equals
+// checkPresence verifies the cat/presence invariant: every stored key
+// under the bitset bound has its bit set, the large-key counter equals
 // the number of stored keys over the bound, and no other bit is set. It
-// costs O(slots + bitset words) and hashes nothing, so owners that do not
-// run the full CheckInvariants sweep can still check the miss path.
-func (t *Table[V]) CheckPresence() error {
+// costs O(slots + bitset words) and hashes nothing. CheckInvariants runs
+// it last, once every occupancy mask is known to mark only ways that
+// have slots.
+func (t *Table[V]) checkPresence() error {
 	big, valid := 0, 0
-	// Mask bits at or above Ways, and masks on sets with no slot storage,
-	// are cat/occupancy's to report; skip them so a standalone call cannot
-	// index past a set.
-	ways := uint64(1)<<t.spec.Ways - 1
 	for ti := 0; ti < 2; ti++ {
 		for s, st := range t.sets[ti] {
 			ss := t.slots[ti][s]
-			if ss == nil {
-				continue
-			}
-			for m := st.mask & ways; m != 0; m &= m - 1 {
+			for m := st.mask; m != 0; m &= m - 1 {
 				key := ss[bits.TrailingZeros64(m)].key
 				valid++
 				if key >= maxBitsetKeys {

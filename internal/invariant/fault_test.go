@@ -14,6 +14,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/invariant"
+	"repro/internal/mitigation"
 	"repro/internal/rit"
 	"repro/internal/tracker"
 )
@@ -453,4 +454,46 @@ func TestFaultDRAMTornSwap(t *testing.T) {
 	sys.TearNextSwapForTest()
 	sys.SwapRows(id, 2, 3, 0)
 	wantViolation(t, eng.Err(), "dram/swap-conservation")
+}
+
+// TestFaultRubix breaks Rubix's boot-time map three ways. A fresh Rubix
+// has no inverse map, so the first two rows are caught by the
+// permutation check alone; the third builds bank 0's inverse through
+// Occupant and then swaps two slots, leaving perm a bijection that inv
+// no longer inverts.
+func TestFaultRubix(t *testing.T) {
+	cases := []struct {
+		name   string
+		hurt   func(r *mitigation.Rubix, id dram.BankID)
+		detail string
+	}{
+		{"perm-out-of-range", func(r *mitigation.Rubix, id dram.BankID) {
+			r.CorruptPermForTest(id, 5, 1<<10)
+		}, "out of range"},
+		{"perm-repeat-without-inverse", func(r *mitigation.Rubix, id dram.BankID) {
+			r.CorruptPermForTest(id, 7, int32(r.Remap(id, 3)))
+		}, "repeats"},
+		{"inverse-disagrees", func(r *mitigation.Rubix, id dram.BankID) {
+			r.Occupant(id, 0)
+			p0, p1 := r.Remap(id, 0), r.Remap(id, 1)
+			r.CorruptPermForTest(id, 0, int32(p1))
+			r.CorruptPermForTest(id, 1, int32(p0))
+		}, "inv["},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.RowsPerBank = 1 << 10
+			r := mitigation.NewRubix(dram.MustNew(cfg), 0, 3)
+			if err := r.CheckInvariants(); err != nil {
+				t.Fatalf("pre-injection state not clean: %v", err)
+			}
+			tc.hurt(r, dram.BankID{})
+			err := r.CheckInvariants()
+			wantViolation(t, err, "rubix/permutation")
+			if d := invariant.AsViolation(err).Detail; !strings.Contains(d, tc.detail) {
+				t.Fatalf("violation detail %q does not mention %q", d, tc.detail)
+			}
+		})
+	}
 }

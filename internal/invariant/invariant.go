@@ -47,6 +47,9 @@
 //     the transfer and compared against the contents captured before it
 //     (the ~2.9 us swap+unswap window of Figure 4 must conserve row
 //     data).
+//   - rubix/permutation: each bank's boot-time row map is a
+//     permutation (every slot in range, none repeated) and, where
+//     Occupant has built the bank's inverse map, the inverse agrees.
 //
 // Package invariant has no dependencies inside the repository, so every
 // structure package can use its error types without import cycles.

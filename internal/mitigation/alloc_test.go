@@ -101,3 +101,22 @@ func TestNewSRSAllocBytes(t *testing.T) {
 		t.Fatalf("NewSRS allocated %d bytes beyond its %d bytes of trackers, want < 1 MiB", n, trackers)
 	}
 }
+
+// TestNewRubixAllocBytes pins Rubix's construction at Table 2 geometry to
+// its forward maps (one int32 per row per bank, 16 MiB) plus under 64 KiB:
+// no bank's inverse is built until Occupant asks for it.
+func TestNewRubixAllocBytes(t *testing.T) {
+	cfg := config.Default()
+	sys := dram.MustNew(cfg)
+	var r *Rubix
+	total := allocBytes(func() { r = NewRubix(sys, 0, 11) })
+	slabs := uint64(len(r.perm)) * uint64(cfg.RowsPerBank) * 4
+	if total < slabs || total-slabs >= 64<<10 {
+		t.Fatalf("NewRubix allocated %d bytes, want its %d bytes of perm slabs + < 64 KiB", total, slabs)
+	}
+	for b, inv := range r.inv {
+		if inv != nil {
+			t.Fatalf("bank %d has an inverse map before any Occupant call", b)
+		}
+	}
+}

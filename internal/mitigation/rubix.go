@@ -27,9 +27,14 @@ type Rubix struct {
 	cfg  config.Config
 	prob float64
 	rng  *prince.CTR
-	// perm maps logical row -> physical row per bank; inv is its inverse.
+	// perm maps logical row -> physical row per bank. inv[b] is perm[b]'s
+	// inverse, built the first time Occupant asks about bank b: only the
+	// juggling attacker's oracle needs it, so a run without one never
+	// pays for it.
 	perm [][]int32
 	inv  [][]int32
+	// seen is CheckInvariants' scratch bitset over one bank's rows.
+	seen []uint64
 	// keyPenalty is the per-access address-scrambling latency, modeled
 	// like the RIT lookup.
 	keyPenalty int64
@@ -37,7 +42,8 @@ type Rubix struct {
 }
 
 // NewRubix builds the boot-time permutation from seed and refreshes
-// physical neighbours with probability prob per activation.
+// physical neighbours with probability prob per activation. It draws
+// every bank's shuffle but builds no inverse (see Occupant).
 func NewRubix(sys *dram.System, prob float64, seed uint64) *Rubix {
 	if prob < 0 || prob > 1 {
 		panic("mitigation: Rubix probability out of range")
@@ -66,11 +72,7 @@ func NewRubix(sys *dram.System, prob float64, seed uint64) *Rubix {
 			j := rng.Intn(i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
-		inv := make([]int32, cfg.RowsPerBank)
-		for l, p := range perm {
-			inv[p] = int32(l)
-		}
-		r.perm[b], r.inv[b] = perm, inv
+		r.perm[b] = perm
 	}
 	return r
 }
@@ -84,9 +86,18 @@ func (r *Rubix) Remap(id dram.BankID, row int) int {
 }
 
 // Occupant returns the logical row mapped onto the physical slot
-// (attack.OccupantFinder); for Rubix the map is static.
+// (attack.OccupantFinder); for Rubix the map is static. The bank's first
+// call builds its inverse map.
 func (r *Rubix) Occupant(id dram.BankID, physRow int) int {
-	return int(r.inv[bankIndex(r.cfg, id)][physRow])
+	b := bankIndex(r.cfg, id)
+	if r.inv[b] == nil {
+		inv := make([]int32, len(r.perm[b]))
+		for l, p := range r.perm[b] {
+			inv[p] = int32(l)
+		}
+		r.inv[b] = inv
+	}
+	return int(r.inv[b][physRow])
 }
 
 // ActivateDelay implements memctrl.Mitigation; Rubix never throttles.
@@ -121,22 +132,45 @@ func (r *Rubix) EnableParanoid(eng *invariant.Engine) {
 	eng.Register("rubix/permutation", r.CheckInvariants)
 }
 
-// CheckInvariants verifies every bank's perm/inv pair is mutually
-// inverse. The map is immutable after construction, so a violation means
-// memory corruption, not a logic race.
+// CheckInvariants verifies every bank's perm is a permutation (each
+// value in range, none repeated, checked against a scratch bitset) and,
+// where Occupant has built the bank's inverse, that inv inverts it. The
+// map is immutable after construction, so a violation means memory
+// corruption, not a logic race.
 func (r *Rubix) CheckInvariants() error {
-	for b := range r.perm {
-		perm, inv := r.perm[b], r.inv[b]
+	if r.seen == nil {
+		r.seen = make([]uint64, (r.cfg.RowsPerBank+63)/64)
+	}
+	for b, perm := range r.perm {
+		clear(r.seen)
 		for l, p := range perm {
-			if p < 0 || int(p) >= len(inv) {
+			if p < 0 || int(p) >= len(perm) {
 				return invariant.Violatedf("rubix/permutation",
 					"bank %d: perm[%d] = %d out of range", b, l, p)
 			}
-			if int(inv[p]) != l {
+			w, bit := p>>6, uint64(1)<<(p&63)
+			if r.seen[w]&bit != 0 {
 				return invariant.Violatedf("rubix/permutation",
-					"bank %d: inv[perm[%d]=%d] = %d, want %d", b, l, p, inv[p], l)
+					"bank %d: perm[%d] = %d repeats an earlier row's slot", b, l, p)
+			}
+			r.seen[w] |= bit
+		}
+		if inv := r.inv[b]; inv != nil {
+			for l, p := range perm {
+				if int(inv[p]) != l {
+					return invariant.Violatedf("rubix/permutation",
+						"bank %d: inv[perm[%d]=%d] = %d, want %d", b, l, p, inv[p], l)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// CorruptPermForTest maps logical row to physical slot phys in bank id
+// without touching the inverse. The fault-injection suite uses it to
+// prove CheckInvariants detects a broken map; production code must never
+// call it.
+func (r *Rubix) CorruptPermForTest(id dram.BankID, row int, phys int32) {
+	r.perm[bankIndex(r.cfg, id)][row] = phys
 }

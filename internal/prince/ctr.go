@@ -5,16 +5,24 @@ package prince
 // deterministic given the key and starting counter, which keeps experiments
 // reproducible.
 //
+// Blocks are enciphered four counters at a time into a small buffer that
+// Next drains in order, so the stream is exactly Encrypt(0), Encrypt(1), …
+// while the four independent lookup chains overlap in the CPU.
+//
 // CTR is not safe for concurrent use; give each goroutine its own instance.
 type CTR struct {
 	c   *Cipher
-	ctr uint64
+	buf [4]uint64 // Encrypt(ctr-4) … Encrypt(ctr-1)
+	pos int       // next unread entry of buf; len(buf) when empty
+	ctr uint64    // counter of the next block to encipher
 }
 
 // NewCTR returns a CTR generator over a PRINCE cipher keyed with (k0, k1),
 // starting at counter 0.
 func NewCTR(k0, k1 uint64) *CTR {
-	return &CTR{c: New(k0, k1)}
+	g := &CTR{c: New(k0, k1)}
+	g.pos = len(g.buf)
+	return g
 }
 
 // Seeded returns a CTR generator derived from a single 64-bit seed. The two
@@ -34,9 +42,22 @@ func Seeded(seed uint64) *CTR {
 
 // Next returns the next 64 random bits.
 func (g *CTR) Next() uint64 {
-	v := g.c.Encrypt(g.ctr)
-	g.ctr++
+	if g.pos >= len(g.buf) {
+		g.refill()
+	}
+	v := g.buf[g.pos]
+	g.pos++
 	return v
+}
+
+// refill enciphers the next four counters into the buffer. It stays out
+// of line so that Next, the per-draw path, inlines into its callers.
+//
+//go:noinline
+func (g *CTR) refill() {
+	g.buf = run4(&g.c.enc, g.ctr)
+	g.ctr += uint64(len(g.buf))
+	g.pos = 0
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
@@ -50,14 +71,17 @@ func (g *CTR) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 { // power of two
 		return g.Next() & (n - 1)
 	}
-	// Reject values in the final partial range.
-	limit := -n % n // (2^64 - n) mod n == 2^64 mod n
-	for {
-		v := g.Next()
-		if v >= limit {
-			return v % n
+	// Reject values in the final partial range [0, 2^64 mod n). That
+	// bound is below n, so a draw of at least n is accepted without
+	// computing it.
+	v := g.Next()
+	if v < n {
+		limit := -n % n // (2^64 - n) mod n == 2^64 mod n
+		for v < limit {
+			v = g.Next()
 		}
 	}
+	return v % n
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

@@ -217,6 +217,80 @@ func BenchmarkCTRNext(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkCTRIntn draws bounded values as NewRubix's shuffle does, with
+// a bound that is not a power of two.
+func BenchmarkCTRIntn(b *testing.B) {
+	g := NewCTR(1, 2)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink ^= g.Intn(100003)
+	}
+	_ = sink
+}
+
+// TestCTRBufferedMatchesEncrypt checks that the buffered generator's
+// stream is Encrypt(0), Encrypt(1), … whatever mix of draws consumes it.
+// The reference bounded draw is the plain rejection loop, so the check
+// also covers Uint64n's accept-before-computing-the-bound shortcut; the
+// bound near 2^63 rejects about half its draws.
+func TestCTRBufferedMatchesEncrypt(t *testing.T) {
+	const k0, k1 = 0x0123456789abcdef, 0xfedcba9876543210
+	g, c := NewCTR(k0, k1), New(k0, k1)
+	var ctr uint64
+	ref := func() uint64 {
+		v := c.Encrypt(ctr)
+		ctr++
+		return v
+	}
+	refUint64n := func(n uint64) uint64 {
+		if n&(n-1) == 0 {
+			return ref() & (n - 1)
+		}
+		limit := -n % n
+		for {
+			if v := ref(); v >= limit {
+				return v % n
+			}
+		}
+	}
+	const near63 = 1<<63 + 12345
+	bounded := 0
+	for op := 0; op < 5000; op++ {
+		switch op % 7 {
+		case 0, 5:
+			if got, want := g.Next(), ref(); got != want {
+				t.Fatalf("op %d: Next = %016x, want %016x", op, got, want)
+			}
+		case 1:
+			if got, want := g.Float64(), float64(ref()>>11)/(1<<53); got != want {
+				t.Fatalf("op %d: Float64 = %v, want %v", op, got, want)
+			}
+		case 2:
+			if got, want := g.Intn(100003), int(refUint64n(100003)); got != want {
+				t.Fatalf("op %d: Intn = %d, want %d", op, got, want)
+			}
+			bounded++
+		case 3:
+			if got, want := g.Uint64n(1<<17), refUint64n(1<<17); got != want {
+				t.Fatalf("op %d: Uint64n(2^17) = %d, want %d", op, got, want)
+			}
+			bounded++
+		case 4, 6:
+			if got, want := g.Uint64n(near63), refUint64n(near63); got != want {
+				t.Fatalf("op %d: Uint64n(2^63+12345) = %d, want %d", op, got, want)
+			}
+			bounded++
+		}
+	}
+	// Each op consumes one block unless a bounded draw rejected some.
+	if rejected := ctr - 5000; rejected < 500 {
+		t.Fatalf("%d rejections over %d bounded draws; the rejection branch barely ran", rejected, bounded)
+	}
+	if got, want := g.Next(), ref(); got != want {
+		t.Fatalf("final Next = %016x, want %016x", got, want)
+	}
+}
+
 // refEncrypt is the specification-shaped PRINCE: the reference core
 // between the k0 / k0' whitening keys.
 func refEncrypt(k0, k1, m uint64) uint64 {
@@ -248,7 +322,8 @@ func TestReferenceVectors(t *testing.T) {
 // constants of both directions: Encrypt must equal the whitened reference
 // core for any key, and Decrypt must invert it. It also checks that the
 // interleaved Sum2 under two fuzzed keys (k0, k1) and (k1, k0) equals
-// two single evaluations of the reference core.
+// two single evaluations of the reference core, and that every lane of
+// run4 from counter m equals the reference core on its own counter.
 func FuzzCipherMatchesReference(f *testing.F) {
 	for _, v := range vectors {
 		f.Add(v.k0, v.k1, v.pt)
@@ -266,6 +341,11 @@ func FuzzCipherMatchesReference(f *testing.F) {
 		if wa, wb := refEncrypt(k0, k1, m), refEncrypt(k1, k0, m); a != wa || b != wb {
 			t.Fatalf("Sum2 of %016x under (%016x, %016x) and its swap = (%016x, %016x), reference (%016x, %016x)",
 				m, k0, k1, a, b, wa, wb)
+		}
+		for i, v := range run4(&c.enc, m) {
+			if want := refEncrypt(k0, k1, m+uint64(i)); v != want {
+				t.Fatalf("run4 lane %d from %016x under (%016x, %016x) = %016x, reference %016x", i, m, k0, k1, v, want)
+			}
 		}
 	})
 }
