@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-micro paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments experiments-check examples alloc-check profile shootout-smoke sweep-smoke clean
+.PHONY: all build test test-short bench bench-figures bench-quick bench-guard bench-micro inline-check paranoid vet lint race chaos chaos-fleet chaos-replica loadgen-smoke fuzz serve experiments experiments-check examples alloc-check profile shootout-smoke sweep-smoke clean
 
 all: build lint test
 
@@ -80,7 +80,8 @@ loadgen-smoke:
 # in the result store), then the fleet's membership merge (the same
 # table in any order or grouping, a re-merge changes nothing), then
 # cross-checks the table-driven PRINCE against its reference core
-# under fuzzed keys. A sweep input can expand
+# under fuzzed keys, and the trace-gap table against the Log1p
+# expression under fuzzed MPKIs and draws. A sweep input can expand
 # to 4096 children (~0.15 s per run), so minimizing one with the default
 # 60 s budget would eat the whole sweep fuzz window; it is capped at 50
 # runs.
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplayJournal -fuzztime 20s -fuzzminimizetime 50x ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzMembershipMerge -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzCipherMatchesReference -fuzztime 10s ./internal/prince/
+	$(GO) test -run '^$$' -fuzz FuzzExpGapMatchesLog1p -fuzztime 10s ./internal/trace/
 
 # serve starts the simulation job service on :8080.
 serve:
@@ -124,6 +126,18 @@ bench-guard:
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
+# inline-check fails unless the compiler still inlines the per-access
+# helpers whose speed rests on it: the PRINCE-CTR draws, the address
+# decode, the cached tREFI window and the trace-gap lookup. An edit that
+# pushes one over the inliner's budget of 80 turns it into a call on
+# every access, which no test and no pinned statistic would notice.
+INLINED := '(*CTR).Next' '(*CTR).Float64' '(*System).Decode' '(*System).RefreshWindow' '(*gapTable).lookup'
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/prince ./internal/dram ./internal/trace 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in $(INLINED); do \
+		echo "$$out" | sed -n 's/.*: can inline //p' | grep -qxF "$$f" || { echo "inline-check: $$f is not inlinable"; exit 1; }; \
+	done; echo "inline-check: all of $(INLINED) inline"
+
 # alloc-check runs the per-access allocation pins: the hot path — and
 # every hook layered onto it (paranoid checks, event recording) — must
 # stay at 0 allocs/op when its feature is off. CI runs this next to
@@ -136,10 +150,12 @@ bench-micro:
 # The same holds for CAT slots: an RRS is built without any, and a set
 # gets its slots with its first entry. Rubix is built with its forward
 # row maps only; a bank's inverse waits for the first Occupant call.
+# The trace-gap tables stay under 1 MiB for Table 3's workloads, and a
+# second generator with the same workload shares the first one's table.
 alloc-check:
 	$(GO) test -run 'AllocFree|AllocBytes' -count=1 ./internal/rit ./internal/tracker \
 		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation ./internal/cpu \
-		./internal/sim ./internal/core
+		./internal/sim ./internal/core ./internal/trace
 
 # shootout-smoke runs the cross-defense comparison at quick scale with
 # the invariant engine on: every mitigation in the zoo (RRS, the paper

@@ -21,6 +21,10 @@ const (
 
 // Config describes one simulated system. The zero value is not useful;
 // construct with Default and mutate, or use the With* helpers.
+//
+// LineBytes, lines per row (RowBytes/LineBytes), Channels, Ranks, Banks
+// and RowsPerBank must be powers of two, as in every DDR geometry: the
+// DRAM model decodes an address with shifts and masks (Validate).
 type Config struct {
 	// Cores is the number of trace-driven cores.
 	Cores int
@@ -161,8 +165,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: topology %dx%dx%d invalid", c.Channels, c.Ranks, c.Banks)
 	case c.RowsPerBank <= 0:
 		return fmt.Errorf("config: RowsPerBank must be positive, got %d", c.RowsPerBank)
-	case c.RowBytes <= 0 || c.RowBytes%c.LineBytes != 0:
-		return fmt.Errorf("config: RowBytes %d must be a positive multiple of LineBytes %d", c.RowBytes, c.LineBytes)
+	case !pow2(c.Channels) || !pow2(c.Ranks) || !pow2(c.Banks):
+		return fmt.Errorf("config: topology %dx%dx%d must be powers of two", c.Channels, c.Ranks, c.Banks)
+	case !pow2(c.RowsPerBank):
+		return fmt.Errorf("config: RowsPerBank %d must be a power of two", c.RowsPerBank)
+	case !pow2(c.LineBytes):
+		return fmt.Errorf("config: LineBytes %d must be a power of two", c.LineBytes)
+	case c.RowBytes <= 0 || c.RowBytes%c.LineBytes != 0 || !pow2(c.RowBytes/c.LineBytes):
+		return fmt.Errorf("config: RowBytes %d must be a power-of-two multiple of LineBytes %d", c.RowBytes, c.LineBytes)
 	case c.LLCBytes <= 0 || c.LLCWays <= 0:
 		return fmt.Errorf("config: LLC %dB/%d-way invalid", c.LLCBytes, c.LLCWays)
 	case c.TRC <= 0 || c.TRCD <= 0 || c.TRP <= 0 || c.TCAS <= 0:
@@ -176,6 +186,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // String summarises the configuration in one line.
 func (c Config) String() string {

@@ -96,6 +96,11 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.Channels = 0 },
 		func(c *Config) { c.RowsPerBank = 0 },
 		func(c *Config) { c.RowBytes = 100 }, // not a line multiple
+		func(c *Config) { c.Banks = 12 },
+		func(c *Config) { c.RowsPerBank = 100_000 },
+		func(c *Config) { c.RowBytes = 3 * c.LineBytes }, // 3 lines per row
+		func(c *Config) { c.LineBytes = 0 },
+		func(c *Config) { c.LineBytes, c.RowBytes = 48, 48*128 },
 		func(c *Config) { c.LLCBytes = 0 },
 		func(c *Config) { c.TRC = 0 },
 		func(c *Config) { c.TRFC = c.TREFI + 1 },

@@ -72,3 +72,16 @@ func BenchmarkRowContent(b *testing.B) {
 
 // contentSink keeps BenchmarkRowContent's reads from being optimized away.
 var contentSink uint64
+
+// BenchmarkDecode decodes the scattered line addresses of a high-MPKI
+// trace at Table 2 geometry.
+func BenchmarkDecode(b *testing.B) {
+	sys := MustNew(config.Default())
+	s := uint64(0xBE)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		a := sys.Decode(splitmixNext(&s) >> 30)
+		sink += a.Row ^ a.Bank ^ a.Col
+	}
+	_ = sink
+}

@@ -12,6 +12,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/config"
@@ -126,6 +127,14 @@ type System struct {
 	listeners  []ActListener
 	epochHooks []func()
 
+	// geo holds Decode's shifts and masks.
+	geo geometry
+
+	// refSlot and refStart cache the tREFI window that RefreshWindow
+	// last computed for a non-negative time; times inside it need no
+	// division.
+	refSlot, refStart int64
+
 	// tally is the row-indexed scratch RowsWithActsAtLeast counts a
 	// log-only bank's log in; it is all zero between calls. A log holds
 	// at most actLogSize rows, so no tally overflows a uint16.
@@ -141,6 +150,31 @@ type System struct {
 	tearNextSwap bool
 }
 
+// geometry is the line-address layout (Decode): from the low bits up,
+// the column within the row, channel, bank, rank and row. Each field's
+// size is a power of two (config.Validate), so a field is a shift and a
+// mask.
+type geometry struct {
+	colMask                                 uint64
+	chShift, bankShift, rankShift, rowShift uint
+	chMask, bankMask, rankMask, rowMask     uint64
+}
+
+func newGeometry(cfg config.Config) geometry {
+	log2 := func(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
+	var g geometry
+	g.colMask = uint64(cfg.RowBytes/cfg.LineBytes) - 1
+	g.chShift = log2(cfg.RowBytes / cfg.LineBytes)
+	g.chMask = uint64(cfg.Channels) - 1
+	g.bankShift = g.chShift + log2(cfg.Channels)
+	g.bankMask = uint64(cfg.Banks) - 1
+	g.rankShift = g.bankShift + log2(cfg.Banks)
+	g.rankMask = uint64(cfg.Ranks) - 1
+	g.rowShift = g.rankShift + log2(cfg.Ranks)
+	g.rowMask = uint64(cfg.RowsPerBank) - 1
+	return g
+}
+
 // New creates a DRAM system for the given configuration. The error wraps
 // invariant.ErrBadGeometry when the configuration fails validation.
 func New(cfg config.Config) (*System, error) {
@@ -154,6 +188,7 @@ func New(cfg config.Config) (*System, error) {
 		busFree: make([]int64, cfg.Channels),
 		blocked: make([]int64, cfg.Channels),
 		tally:   make([]uint16, cfg.RowsPerBank),
+		geo:     newGeometry(cfg),
 	}
 	logs := make([]int32, n*actLogSize)
 	for i := range s.banks {
@@ -208,43 +243,56 @@ func (s *System) EachBank(fn func(id BankID, b *Bank)) {
 // bank, rank, row — spreading consecutive lines across a row, then
 // channels, then banks, so sequential streams exploit parallelism.
 func (s *System) Decode(line uint64) Address {
-	linesPerRow := uint64(s.cfg.RowBytes / s.cfg.LineBytes)
-	col := int(line % linesPerRow)
-	line /= linesPerRow
-	ch := int(line % uint64(s.cfg.Channels))
-	line /= uint64(s.cfg.Channels)
-	bank := int(line % uint64(s.cfg.Banks))
-	line /= uint64(s.cfg.Banks)
-	rank := int(line % uint64(s.cfg.Ranks))
-	line /= uint64(s.cfg.Ranks)
-	row := int(line % uint64(s.cfg.RowsPerBank))
-	return Address{BankID: BankID{Channel: ch, Rank: rank, Bank: bank}, Row: row, Col: col}
+	g := &s.geo
+	return Address{
+		BankID: BankID{
+			Channel: int(line >> g.chShift & g.chMask),
+			Rank:    int(line >> g.rankShift & g.rankMask),
+			Bank:    int(line >> g.bankShift & g.bankMask),
+		},
+		Row: int(line >> g.rowShift & g.rowMask),
+		Col: int(line & g.colMask),
+	}
 }
 
-// Encode is the inverse of Decode, returning the line index for an address.
+// Encode is the inverse of Decode, returning the line index for an
+// address. Fields add rather than OR, so an out-of-range field carries
+// into the next as the mixed-radix product did.
 func (s *System) Encode(a Address) uint64 {
-	linesPerRow := uint64(s.cfg.RowBytes / s.cfg.LineBytes)
-	v := uint64(a.Row)
-	v = v*uint64(s.cfg.Ranks) + uint64(a.Rank)
-	v = v*uint64(s.cfg.Banks) + uint64(a.Bank)
-	v = v*uint64(s.cfg.Channels) + uint64(a.Channel)
-	v = v*linesPerRow + uint64(a.Col)
-	return v
+	g := &s.geo
+	return uint64(a.Row)<<g.rowShift + uint64(a.Rank)<<g.rankShift +
+		uint64(a.Bank)<<g.bankShift + uint64(a.Channel)<<g.chShift + uint64(a.Col)
 }
 
-// refSlot returns the refresh window index covering time t.
-func (s *System) refSlot(t int64) int64 { return t / int64(s.cfg.TREFI) }
+// RefreshWindow returns the index and first cycle of the tREFI window
+// covering time t. The last window is cached, so only a time outside it
+// divides.
+func (s *System) RefreshWindow(t int64) (slot, start int64) {
+	if uint64(t-s.refStart) < uint64(s.cfg.TREFI) {
+		return s.refSlot, s.refStart
+	}
+	return s.moveRefreshWindow(t)
+}
+
+// moveRefreshWindow computes t's window and caches it. A negative t's
+// window is not cached: division truncates toward zero, so its slot
+// does not cover one tREFI span from its start.
+func (s *System) moveRefreshWindow(t int64) (slot, start int64) {
+	trefi := int64(s.cfg.TREFI)
+	slot = t / trefi
+	start = slot * trefi
+	if t >= 0 {
+		s.refSlot, s.refStart = slot, start
+	}
+	return slot, start
+}
 
 // SkipRefresh pushes t past any refresh window it falls into. Each tREFI
 // period begins with tRFC cycles of refresh during which the rank is
 // unavailable.
 func (s *System) SkipRefresh(t int64) int64 {
-	slot := s.refSlot(t)
-	start := slot * int64(s.cfg.TREFI)
-	if t < start+int64(s.cfg.TRFC) {
-		return start + int64(s.cfg.TRFC)
-	}
-	return t
+	_, start := s.RefreshWindow(t)
+	return max(t, start+int64(s.cfg.TRFC))
 }
 
 // BlockChannel makes the channel unavailable until cycle until (used for

@@ -13,15 +13,68 @@ func testConfig() config.Config {
 	return cfg
 }
 
+// divDecode and divEncode are the address layout's mixed-radix form,
+// which Decode and Encode computed before they became shifts and masks;
+// they are the oracle for every geometry.
+func divDecode(cfg config.Config, line uint64) Address {
+	linesPerRow := uint64(cfg.RowBytes / cfg.LineBytes)
+	col := int(line % linesPerRow)
+	line /= linesPerRow
+	ch := int(line % uint64(cfg.Channels))
+	line /= uint64(cfg.Channels)
+	bank := int(line % uint64(cfg.Banks))
+	line /= uint64(cfg.Banks)
+	rank := int(line % uint64(cfg.Ranks))
+	line /= uint64(cfg.Ranks)
+	row := int(line % uint64(cfg.RowsPerBank))
+	return Address{BankID: BankID{Channel: ch, Rank: rank, Bank: bank}, Row: row, Col: col}
+}
+
+func divEncode(cfg config.Config, a Address) uint64 {
+	v := uint64(a.Row)
+	v = v*uint64(cfg.Ranks) + uint64(a.Rank)
+	v = v*uint64(cfg.Banks) + uint64(a.Bank)
+	v = v*uint64(cfg.Channels) + uint64(a.Channel)
+	return v*uint64(cfg.RowBytes/cfg.LineBytes) + uint64(a.Col)
+}
+
+// TestDecodeEncodeRoundTrip checks Decode and Encode against the
+// division formula at several power-of-two geometries: every line of the
+// address space round-trips, lines beyond it wrap the row as the
+// division did, and out-of-range fields carry alike.
 func TestDecodeEncodeRoundTrip(t *testing.T) {
-	s := MustNew(testConfig())
-	lines := uint64(s.Config().TotalRows()) * uint64(s.Config().RowBytes/s.Config().LineBytes)
-	f := func(raw uint64) bool {
-		line := raw % lines
-		return s.Encode(s.Decode(line)) == line
+	geometries := []func(*config.Config){
+		func(*config.Config) {},
+		func(c *config.Config) { c.Channels, c.Ranks, c.Banks, c.RowsPerBank = 1, 1, 8, 1<<10 },
+		func(c *config.Config) { c.Channels, c.Ranks, c.Banks, c.RowsPerBank, c.RowBytes = 4, 2, 4, 256, 2<<10 },
+		func(c *config.Config) { c.Channels, c.Ranks, c.Banks, c.RowsPerBank, c.RowBytes = 1, 1, 1, 1, 64 },
+		func(c *config.Config) { c.LineBytes, c.Ranks, c.RowsPerBank = 128, 4, 1<<12 },
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for i, geo := range geometries {
+		cfg := config.Default()
+		geo(&cfg)
+		s := MustNew(cfg)
+		lines := uint64(cfg.TotalRows()) * uint64(cfg.RowBytes/cfg.LineBytes)
+		f := func(raw uint64, fields [5]int16) bool {
+			line := raw % lines
+			a := s.Decode(line)
+			if a != divDecode(cfg, line) || s.Encode(a) != line || s.Decode(raw) != divDecode(cfg, raw) {
+				return false
+			}
+			wide := Address{
+				BankID: BankID{Channel: int(fields[0]), Rank: int(fields[1]), Bank: int(fields[2])},
+				Row:    int(fields[3]), Col: int(fields[4]),
+			}
+			return s.Encode(wide) == divEncode(cfg, wide)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Errorf("geometry %d (%s): %v", i, cfg, err)
+		}
+		for _, line := range []uint64{0, 1, lines - 1, lines, ^uint64(0)} {
+			if got, want := s.Decode(line), divDecode(cfg, line); got != want {
+				t.Errorf("geometry %d: Decode(%#x) = %+v, want %+v", i, line, got, want)
+			}
+		}
 	}
 }
 
@@ -201,6 +254,35 @@ func TestSkipRefresh(t *testing.T) {
 	}
 	if got := s.SkipRefresh(trefi + 2); got != trefi+trfc {
 		t.Fatalf("SkipRefresh in second window = %d, want %d", got, trefi+trfc)
+	}
+}
+
+// TestRefreshWindowMatchesDivision walks times that stay in a tREFI
+// window, cross its edges, leave it backwards and forwards and re-enter
+// it, and checks the cached window and SkipRefresh against t / tREFI.
+func TestRefreshWindowMatchesDivision(t *testing.T) {
+	cfg := testConfig()
+	s := MustNew(cfg)
+	trfc, trefi := int64(cfg.TRFC), int64(cfg.TREFI)
+	var times []int64
+	for _, k := range []int64{0, 1, 2, 5, 1, 0, 7, 7, 3, 100, -1, 2, -3, 0} {
+		for _, d := range []int64{-1, 0, 1, trfc - 1, trfc, trefi / 2, trefi - 1} {
+			times = append(times, k*trefi+d)
+		}
+	}
+	for _, tm := range times {
+		slot, start := s.RefreshWindow(tm)
+		wantSlot := tm / trefi
+		if slot != wantSlot || start != wantSlot*trefi {
+			t.Fatalf("RefreshWindow(%d) = (%d, %d), want (%d, %d)", tm, slot, start, wantSlot, wantSlot*trefi)
+		}
+		want := tm
+		if tm < wantSlot*trefi+trfc {
+			want = wantSlot*trefi + trfc
+		}
+		if got := s.SkipRefresh(tm); got != want {
+			t.Fatalf("SkipRefresh(%d) = %d, want %d", tm, got, want)
+		}
 	}
 }
 

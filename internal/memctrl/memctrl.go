@@ -131,7 +131,10 @@ type Controller struct {
 	batcher Batcher
 	pend    []pendingActs
 
+	// epochSlot is the current epoch's index and nextEpoch its end,
+	// the first cycle AdvanceTo has work at.
 	epochSlot int64
+	nextEpoch int64
 	stats     Stats
 	epochHook func(now int64)
 
@@ -146,6 +149,7 @@ type Controller struct {
 // baseline).
 func New(sys *dram.System, mit Mitigation) *Controller {
 	c := &Controller{sys: sys, cfg: sys.Config(), mit: mit}
+	c.nextEpoch = c.cfg.EpochCycles
 	if b, ok := mit.(Batcher); ok {
 		c.batcher = b
 		c.pend = make([]pendingActs, c.cfg.Channels*c.cfg.Ranks*c.cfg.Banks)
@@ -172,10 +176,14 @@ func (c *Controller) Mitigation() Mitigation { return c.mit }
 // automatically; simulations call it at the end of a run to close the
 // final epoch.
 func (c *Controller) AdvanceTo(now int64) {
-	slot := now / c.cfg.EpochCycles
-	if c.epochSlot >= slot {
-		return
+	if now >= c.nextEpoch {
+		c.advance(now)
 	}
+}
+
+// advance fires the boundaries from nextEpoch up to now.
+func (c *Controller) advance(now int64) {
+	slot := now / c.cfg.EpochCycles
 	// Deferred activation bursts belong to the closing epoch; deliver
 	// them before the mitigation resets its trackers.
 	c.Flush()
@@ -193,6 +201,7 @@ func (c *Controller) AdvanceTo(now int64) {
 		c.sys.ResetEpoch()
 		c.stats.Epochs++
 	}
+	c.nextEpoch = (slot + 1) * c.cfg.EpochCycles
 }
 
 // Flush delivers all deferred activation notifications to the
@@ -248,8 +257,7 @@ func (c *Controller) Access(line uint64, write bool, arrival int64) int64 {
 
 	// A refresh window that has elapsed since the bank's last command
 	// closes the row buffer.
-	slot := start / int64(c.cfg.TREFI)
-	if slot != b.LastRefSlot {
+	if slot, _ := c.sys.RefreshWindow(start); slot != b.LastRefSlot {
 		b.OpenRow = dram.NoRow
 		b.LastRefSlot = slot
 	}

@@ -395,6 +395,90 @@ func TestEpochDeliveredBeforeBlockedAccess(t *testing.T) {
 	}
 }
 
+// windowMit delays every activation by a fixed amount and records epoch
+// callbacks.
+type windowMit struct {
+	None
+	delay  int64
+	epochs []int64
+}
+
+func (w *windowMit) ActivateDelay(dram.BankID, int, int64) int64 { return w.delay }
+func (w *windowMit) OnEpoch(now int64)                           { w.epochs = append(w.epochs, now) }
+
+// TestEpochAndRefreshWindowsMatchDivision places arrivals at and around
+// epoch boundaries (k·EpochCycles-1, k·EpochCycles, +1) and tREFI
+// windows, and compares every completion time, row hit and epoch
+// callback against a model that divides at every step, as the
+// controller did before it cached the next epoch boundary and the
+// current tREFI window. With the activation delay, each activation lands
+// a window or two past its access, so the next access re-enters a window
+// the cache has left.
+func TestEpochAndRefreshWindowsMatchDivision(t *testing.T) {
+	cfg := testConfig()
+	epoch, trefi, trfc := cfg.EpochCycles, int64(cfg.TREFI), int64(cfg.TRFC)
+	skip := func(tm int64) int64 { return max(tm, tm/trefi*trefi+trfc) }
+	for _, delay := range []int64{0, trefi + trefi/2} {
+		mit := &windowMit{delay: delay}
+		c := New(dram.MustNew(cfg), mit)
+		line := lineFor(c, 1, 0)
+		var arrivals []int64
+		for k := int64(1); k <= 3; k++ {
+			for _, d := range []int64{-trefi, -trefi / 3, -1, 0, 1, trefi / 3, trefi} {
+				arrivals = append(arrivals, k*epoch+d)
+			}
+		}
+		// The model's state: epochs fired, the bank's tRC horizon, the
+		// bus, the bank's last refresh slot and whether its row is open.
+		var fired, readyAt, busFree, lastSlot int64
+		open := false
+		advance := func(tm int64) { fired = max(fired, tm/epoch) }
+		for _, a := range arrivals {
+			hits := c.Stats().RowHits
+			got := c.Access(line, false, a)
+
+			advance(a)
+			start := skip(a)
+			advance(start)
+			if slot := start / trefi; slot != lastSlot {
+				open, lastSlot = false, slot
+			}
+			hit := open
+			var dataReady int64
+			if hit {
+				dataReady = start + int64(cfg.TCAS)
+			} else {
+				s := max(start, readyAt)
+				act := s
+				if delay > 0 {
+					act = skip(s + delay)
+				}
+				advance(act)
+				readyAt = s + int64(cfg.TRC)
+				dataReady = act + int64(cfg.TRCD) + int64(cfg.TCAS)
+				open = true
+			}
+			busStart := max(dataReady, busFree)
+			busFree = busStart + int64(cfg.TBurst)
+
+			if want := busFree; got != want {
+				t.Fatalf("delay %d, arrival %d: completion %d, want %d", delay, a, got, want)
+			}
+			if gotHit := c.Stats().RowHits > hits; gotHit != hit {
+				t.Fatalf("delay %d, arrival %d: row hit %v, want %v", delay, a, gotHit, hit)
+			}
+			if int64(len(mit.epochs)) != fired {
+				t.Fatalf("delay %d, arrival %d: %d epochs fired, want %d", delay, a, len(mit.epochs), fired)
+			}
+			for i, b := range mit.epochs {
+				if b != int64(i+1)*epoch {
+					t.Fatalf("delay %d: epoch %d fired at %d, want %d", delay, i, b, int64(i+1)*epoch)
+				}
+			}
+		}
+	}
+}
+
 func TestAdvanceToIdempotent(t *testing.T) {
 	cfg := testConfig()
 	mit := &epochMit{}

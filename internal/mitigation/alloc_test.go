@@ -102,6 +102,30 @@ func TestNewSRSAllocBytes(t *testing.T) {
 	}
 }
 
+// TestSRSSwapAllocBytes pins the permutation's page size at Table 2
+// geometry: the six swaps of one hammered row group materialize a few
+// small pages of each map, under 16 KiB in all (pages of 1024 rows made
+// them allocate 57 KiB).
+func TestSRSSwapAllocBytes(t *testing.T) {
+	cfg := config.Default()
+	sys := dram.MustNew(cfg)
+	p := DefaultSRSParams(cfg)
+	p.SwapThreshold = 8
+	s := NewSRS(sys, p)
+	id := dram.BankID{}
+	n := allocBytes(func() {
+		for i := 0; i < 64; i++ {
+			s.OnActivate(id, 100+i%3, s.Remap(id, 100+i%3), int64(i*72))
+		}
+	})
+	if got := s.Stats().Swaps; got != 6 {
+		t.Fatalf("%d swaps, want 6", got)
+	}
+	if n >= 16<<10 {
+		t.Fatalf("six SRS swaps allocated %d bytes, want < 16 KiB", n)
+	}
+}
+
 // TestNewRubixAllocBytes pins Rubix's construction at Table 2 geometry to
 // its forward maps (one int32 per row per bank, 16 MiB) plus under 64 KiB:
 // no bank's inverse is built until Occupant asks for it.

@@ -57,8 +57,11 @@ type srsUnit struct {
 	bank int32
 }
 
-// rowPageBits sizes a rowMap page: 1024 rows, 4 KiB.
-const rowPageBits = 10
+// rowPageBits sizes a rowMap page: 128 rows, 512 B. Swap destinations
+// are random rows, so almost every swap materializes fresh pages; small
+// pages keep a run's bytes close to the rows its swaps touch, while the
+// page tables stay at 8 KiB per map per bank at Table 2 geometry.
+const rowPageBits = 7
 
 // rowMap is a map of a bank's rows onto themselves that starts as the
 // identity. Each row's image is stored as an XOR delta from the row, in

@@ -488,7 +488,10 @@ func (o *offsetReader) Next() (trace.Record, bool) {
 		// would fabricate a non-zero line for a record that does not exist.
 		return trace.Record{}, false
 	}
-	rec.Line = (rec.Line + o.offset) % o.mod
+	// Only a line that wraps past the end of memory divides.
+	if rec.Line += o.offset; rec.Line >= o.mod {
+		rec.Line %= o.mod
+	}
 	return rec, ok
 }
 

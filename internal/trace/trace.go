@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Record is one entry of a core's trace: the number of non-memory
@@ -134,9 +133,9 @@ func (w Workload) String() string {
 //   - a random component spread over the footprint (row buffer hostile).
 type Generator struct {
 	w        Workload
-	lineSpan uint64 // footprint in lines
-	rowLines uint64 // lines per DRAM row
-	gapMean  float64
+	lineSpan uint64    // footprint in lines
+	rowLines uint64    // lines per DRAM row
+	gaps     *gapTable // for the mean gap; shared by the process
 
 	hotShare    float64
 	streamShare float64
@@ -163,11 +162,14 @@ func (r *splitmix) next() uint64 {
 
 func (r *splitmix) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 
+// uint64n draws a value in [0, n). Outside powers of two the remainder
+// favours small values by less than n/2^64 (below 2^-37 for mcf's
+// footprint of about 2^27 lines); fine for synthesis.
 func (r *splitmix) uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.next() & (n - 1)
 	}
-	return r.next() % n // bias < 2^-40 for n < 2^24; fine for synthesis
+	return r.next() % n
 }
 
 // GeneratorParams tie the generator to the memory geometry.
@@ -221,7 +223,7 @@ func NewGenerator(w Workload, p GeneratorParams) *Generator {
 		w:           w,
 		lineSpan:    lineSpan,
 		rowLines:    rowLines,
-		gapMean:     1000 / maxf(w.MPKI, 0.01),
+		gaps:        gapTableFor(1000 / maxf(w.MPKI, 0.01)),
 		streamShare: p.StreamShare,
 		stride:      stride,
 		rng:         splitmix{s: p.Seed ^ hashName(w.Name)},
@@ -313,10 +315,14 @@ func (g *Generator) Next() (Record, bool) {
 		// loop-driven working set (important for the BlockHammer
 		// comparison: regular spacing above tDelay is not throttled).
 		row := g.hotRowBase[g.hotIdx]
-		g.hotIdx = (g.hotIdx + 1) % len(g.hotRowBase)
+		if g.hotIdx++; g.hotIdx == len(g.hotRowBase) {
+			g.hotIdx = 0
+		}
 		line = row + g.rng.uint64n(g.rowLines)
 	case r < g.hotShare+g.streamShare:
-		g.cursor = (g.cursor + g.stride) % g.lineSpan
+		if g.cursor += g.stride; g.cursor >= g.lineSpan {
+			g.cursor %= g.lineSpan
+		}
 		line = g.cursor
 	default:
 		line = g.rng.uint64n(g.lineSpan)
@@ -328,16 +334,8 @@ func (g *Generator) Next() (Record, bool) {
 	}, true
 }
 
-// expGap draws an exponentially distributed instruction gap.
+// expGap draws an exponentially distributed instruction gap: the
+// generator's gap table answers almost every draw, and gapExpr the rest.
 func (g *Generator) expGap() uint32 {
-	u := g.rng.float64()
-	if u >= 1 {
-		u = 0.999999
-	}
-	// Inverse CDF of Exp(1/gapMean).
-	v := -g.gapMean * math.Log1p(-u)
-	if v > 1e9 {
-		v = 1e9
-	}
-	return uint32(v)
+	return g.gaps.gap(g.rng.next() >> 11)
 }
