@@ -155,7 +155,7 @@ inline-check:
 alloc-check:
 	$(GO) test -run 'AllocFree|AllocBytes' -count=1 ./internal/rit ./internal/tracker \
 		./internal/dram ./internal/cat ./internal/obs ./internal/mitigation ./internal/cpu \
-		./internal/sim ./internal/core ./internal/trace
+		./internal/sim ./internal/core ./internal/trace ./internal/memctrl
 
 # shootout-smoke runs the cross-defense comparison at quick scale with
 # the invariant engine on: every mitigation in the zoo (RRS, the paper

@@ -344,22 +344,18 @@ func (r *RRS) OnEpoch(now int64) {
 // with a fresh random row in the bank.
 func (r *RRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.ActResult {
 	u := r.unit(id)
-	var count int64
 	var trigger bool
 	if u.hrt != nil {
-		count, trigger = u.hrt.Observe(uint64(row))
+		trigger = u.hrt.Observe(uint64(row))
 	} else {
 		trigger = r.probabilisticTrigger(u)
 	}
-	// A swap never touches the tracker, so the count Observe returned
-	// still holds after one.
-	headroom := r.headroom(count)
 	if !trigger {
-		return memctrl.ActResult{Headroom: headroom}
+		return memctrl.ActResult{}
 	}
 	ops := r.swap(u, id, uint64(row), now)
 	if ops == 0 {
-		return memctrl.ActResult{Headroom: headroom}
+		return memctrl.ActResult{}
 	}
 	block := ops * r.params.SwapOpCycles
 	r.stats.BlockCycles += block
@@ -367,37 +363,7 @@ func (r *RRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.Ac
 		rec.Record(obs.KindChannelBlocked, u.bank, uint64(row), uint64(ops), now, block)
 		rec.Observe(obs.HistSwapBlock, block)
 	}
-	return memctrl.ActResult{ChannelBlock: block, Headroom: headroom}
-}
-
-// headroom returns how many further consecutive activations of a row
-// whose tracker estimate is c are guaranteed inert: a tracked row cannot
-// cross the next multiple of T_RRS for another T_RRS - 1 - (c mod T_RRS)
-// activations, and non-triggering activations have no other effect. An
-// untracked row (c == 0, which also stands for the probabilistic
-// variant's draw per activation) gets none.
-func (r *RRS) headroom(c int64) int64 {
-	if c == 0 {
-		return 0
-	}
-	return r.params.SwapThreshold - 1 - c%r.params.SwapThreshold
-}
-
-// OnActivateN implements memctrl.Batcher: deliver a deferred burst of n
-// same-row activations as one bulk tracker update. The controller only
-// defers activations inside granted headroom, so none of them can
-// trigger a swap.
-func (r *RRS) OnActivateN(id dram.BankID, row, _ int, _ int64, n int64) {
-	if n <= 0 {
-		return
-	}
-	u := r.unit(id)
-	if u.hrt == nil {
-		return
-	}
-	if fired := u.hrt.ObserveN(uint64(row), n); fired != 0 {
-		panic("core: deferred activation burst crossed the swap threshold")
-	}
+	return memctrl.ActResult{ChannelBlock: block}
 }
 
 // swap relocates logical row and returns the number of row-swap operations

@@ -38,7 +38,19 @@ func grapheneFactory(sys *dram.System) memctrl.Mitigation {
 
 // attackRRSFactory builds RRS for the attack experiments.
 func attackRRSFactory(sys *dram.System) memctrl.Mitigation {
-	r, err := core.New(sys, core.DefaultParams(sys.Config()))
+	return mustRRS(sys, core.DefaultParams(sys.Config()))
+}
+
+// attackRRSCAMFactory builds RRS over the reference CAM tracker, the
+// shootout's rrs-cam defense.
+func attackRRSCAMFactory(sys *dram.System) memctrl.Mitigation {
+	p := core.DefaultParams(sys.Config())
+	p.UseCAMTracker = true
+	return mustRRS(sys, p)
+}
+
+func mustRRS(sys *dram.System, p core.Params) *core.RRS {
+	r, err := core.New(sys, p)
 	if err != nil {
 		panic(err)
 	}

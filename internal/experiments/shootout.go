@@ -211,8 +211,10 @@ func attackFactoryFor(name string) mitigationFactory {
 	switch name {
 	case service.MitNone:
 		return noFactory
-	case service.MitRRS, service.MitRRSCAM:
+	case service.MitRRS:
 		return attackRRSFactory
+	case service.MitRRSCAM:
+		return attackRRSCAMFactory
 	case service.MitPARA:
 		return func(sys *dram.System) memctrl.Mitigation {
 			return mitigation.NewPARA(sys,

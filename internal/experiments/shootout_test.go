@@ -5,8 +5,33 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/service"
+	"repro/internal/tracker"
 )
+
+// TestShootoutRRSCAMAttacksCAMTracker pins that the shootout's security
+// leg attacks rrs-cam over the tracker its performance leg runs: every
+// bank of the attack cell's RRS holds the reference CAM.
+func TestShootoutRRSCAMAttacksCAMTracker(t *testing.T) {
+	cfg := attackScaleConfig()
+	ctl, _ := attack.NewSystem(cfg, 0, attack.Alpha2For(cfg), attackFactoryFor(service.MitRRSCAM))
+	r, ok := ctl.Mitigation().(*core.RRS)
+	if !ok {
+		t.Fatalf("rrs-cam attack cell runs %T, want *core.RRS", ctl.Mitigation())
+	}
+	for ch := 0; ch < cfg.Channels; ch++ {
+		for rk := 0; rk < cfg.Ranks; rk++ {
+			for b := 0; b < cfg.Banks; b++ {
+				id := dram.BankID{Channel: ch, Rank: rk, Bank: b}
+				if _, ok := r.Tracker(id).(*tracker.CAM); !ok {
+					t.Fatalf("bank %+v tracks with %T, want *tracker.CAM", id, r.Tracker(id))
+				}
+			}
+		}
+	}
+}
 
 // TestJugglingDistinguishesSRSFromRRS is the regression the SRS paper
 // demands (mirrors TestTable7DefenseMatrix): the occupant-chasing attack

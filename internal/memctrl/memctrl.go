@@ -25,16 +25,6 @@ type ActResult struct {
 	// BankBlock is how many bus cycles this bank alone is busy
 	// (victim-refresh activations in victim-focused mitigation).
 	BankBlock int64
-	// Headroom is a promise the mitigation makes to the controller: the
-	// next Headroom activations of this same (bank, logical row, physical
-	// row) are guaranteed to be inert — no trigger, no blocking, no state
-	// change other than the activation count — provided they are reported
-	// in order, before any other activation in the same bank, via the
-	// Batcher extension. The controller uses it to consult the mitigation
-	// once per same-row activation burst instead of once per activation.
-	// Mitigations that cannot make the promise leave it 0. It is only
-	// honored for mitigations implementing Batcher.
-	Headroom int64
 }
 
 // Mitigation is the hook interface for Row Hammer defenses. The
@@ -58,22 +48,13 @@ type Mitigation interface {
 	OnEpoch(now int64)
 }
 
-// Batcher is an optional Mitigation extension for activation-burst
-// batching. When the mitigation implements it, the controller withholds
-// up to ActResult.Headroom consecutive same-row activation notifications
-// per bank and later delivers them in one OnActivateN call — always
-// before any other activation in that bank is reported and before any
-// epoch boundary, so the mitigation observes the exact same activation
-// sequence, just run-length encoded.
+// Batcher is the retired activation-burst batching extension. No
+// mitigation implements it: the controller reports every activation
+// once, in order, through OnActivate. The declaration remains only
+// because the benchmark's counting wrapper still names it.
 type Batcher interface {
-	// OnActivateN reports n deferred activations of (bank, row, physRow),
-	// all within previously granted headroom (so none of them triggers).
 	OnActivateN(bank dram.BankID, row, physRow int, now int64, n int64)
 }
-
-// noneHeadroom is the unbounded headroom the None baseline grants (it
-// has no per-activation behavior at all).
-const noneHeadroom = int64(1) << 62
 
 // None is the baseline without any Row Hammer mitigation.
 type None struct{}
@@ -85,12 +66,7 @@ func (None) Remap(_ dram.BankID, row int) int { return row }
 func (None) ActivateDelay(dram.BankID, int, int64) int64 { return 0 }
 
 // OnActivate implements Mitigation.
-func (None) OnActivate(dram.BankID, int, int, int64) ActResult {
-	return ActResult{Headroom: noneHeadroom}
-}
-
-// OnActivateN implements Batcher.
-func (None) OnActivateN(dram.BankID, int, int, int64, int64) {}
+func (None) OnActivate(dram.BankID, int, int, int64) ActResult { return ActResult{} }
 
 // AccessPenalty implements Mitigation.
 func (None) AccessPenalty() int64 { return 0 }
@@ -110,26 +86,11 @@ type Stats struct {
 	Epochs       int64
 }
 
-// pendingActs is one bank's deferred activation-burst state.
-type pendingActs struct {
-	id       dram.BankID
-	row      int
-	physRow  int
-	n        int64 // deferred activations not yet delivered
-	headroom int64 // remaining activations covered by the grant
-	lastAt   int64 // time of the most recent deferred activation
-}
-
 // Controller is the memory controller for one DRAM system.
 type Controller struct {
 	sys *dram.System
 	cfg config.Config
 	mit Mitigation
-
-	// batcher is non-nil when mit supports activation-burst batching;
-	// pend then holds one deferred-burst slot per bank.
-	batcher Batcher
-	pend    []pendingActs
 
 	// epochSlot is the current epoch's index and nextEpoch its end,
 	// the first cycle AdvanceTo has work at.
@@ -150,10 +111,6 @@ type Controller struct {
 func New(sys *dram.System, mit Mitigation) *Controller {
 	c := &Controller{sys: sys, cfg: sys.Config(), mit: mit}
 	c.nextEpoch = c.cfg.EpochCycles
-	if b, ok := mit.(Batcher); ok {
-		c.batcher = b
-		c.pend = make([]pendingActs, c.cfg.Channels*c.cfg.Ranks*c.cfg.Banks)
-	}
 	return c
 }
 
@@ -184,9 +141,6 @@ func (c *Controller) AdvanceTo(now int64) {
 // advance fires the boundaries from nextEpoch up to now.
 func (c *Controller) advance(now int64) {
 	slot := now / c.cfg.EpochCycles
-	// Deferred activation bursts belong to the closing epoch; deliver
-	// them before the mitigation resets its trackers.
-	c.Flush()
 	for c.epochSlot < slot {
 		c.epochSlot++
 		boundary := c.epochSlot * c.cfg.EpochCycles
@@ -202,28 +156,6 @@ func (c *Controller) advance(now int64) {
 		c.stats.Epochs++
 	}
 	c.nextEpoch = (slot + 1) * c.cfg.EpochCycles
-}
-
-// Flush delivers all deferred activation notifications to the
-// mitigation. The controller flushes automatically whenever ordering
-// requires it (a different activation in the same bank, an epoch
-// boundary); call it manually before inspecting mitigation-internal
-// state (e.g., tracker counts) mid-run.
-func (c *Controller) Flush() {
-	for i := range c.pend {
-		c.flushPending(&c.pend[i])
-	}
-}
-
-func (c *Controller) flushPending(p *pendingActs) {
-	if p.n > 0 {
-		if rec := c.rec; rec != nil {
-			rec.SetNow(p.lastAt)
-		}
-		c.batcher.OnActivateN(p.id, p.row, p.physRow, p.lastAt, p.n)
-		p.n = 0
-	}
-	p.headroom = 0
 }
 
 // SetEpochHook installs a function invoked at every epoch boundary before
@@ -328,30 +260,6 @@ func (c *Controller) activate(id dram.BankID, b *dram.Bank, row, physRow int, st
 	// so the bank becomes available tRC after the undelayed slot. The
 	// throttled request itself completes from its delayed activation.
 	b.ReadyAt = start + int64(c.cfg.TRC)
-
-	if c.batcher != nil {
-		p := &c.pend[(id.Channel*c.cfg.Ranks+id.Rank)*c.cfg.Banks+id.Bank]
-		if p.headroom > 0 && p.row == row && p.physRow == physRow {
-			// Within granted headroom: the notification is inert, so
-			// just extend the pending burst.
-			p.n++
-			p.headroom--
-			p.lastAt = actAt
-			return actAt + int64(c.cfg.TRCD) + int64(c.cfg.TCAS)
-		}
-		// A different row (or exhausted grant): deliver the pending burst
-		// first so the mitigation sees activations in order.
-		c.flushPending(p)
-		res := c.mit.OnActivate(id, row, physRow, actAt)
-		*p = pendingActs{id: id, row: row, physRow: physRow, headroom: res.Headroom, lastAt: actAt}
-		if res.BankBlock > 0 {
-			b.ReadyAt += res.BankBlock
-		}
-		if res.ChannelBlock > 0 {
-			c.sys.BlockChannel(id.Channel, actAt+res.ChannelBlock)
-		}
-		return actAt + int64(c.cfg.TRCD) + int64(c.cfg.TCAS)
-	}
 
 	res := c.mit.OnActivate(id, row, physRow, actAt)
 	if res.BankBlock > 0 {

@@ -510,9 +510,6 @@ func TestNoneMitigationIsTransparent(t *testing.T) {
 	if res := m.OnActivate(dram.BankID{}, 5, 5, 0); res.ChannelBlock != 0 || res.BankBlock != 0 {
 		t.Fatal("None acts")
 	}
-	if res := m.OnActivate(dram.BankID{}, 5, 5, 0); res.Headroom <= 0 {
-		t.Fatal("None grants no batching headroom")
-	}
 	if m.AccessPenalty() != 0 {
 		t.Fatal("None penalizes")
 	}

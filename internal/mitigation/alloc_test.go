@@ -6,70 +6,51 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/dram"
+	"repro/internal/memctrl"
 	"repro/internal/tracker"
 )
 
 // TestZooHotPathAllocFree pins the 0 allocs/op contract for the zoo
 // defenses' per-activation paths (the same discipline make alloc-check
 // enforces for the tracker and DRAM packages). The loops cross tREFI
-// windows, so the pins cover the refresh/service paths too — refreshPair
-// is non-variadic and the PrIDE ring is a fixed array precisely so these
-// hold.
+// windows and hammer one row, so the pins cover the refresh/service
+// paths too: PARA (p=1) and Graphene (threshold 1, both blast radii)
+// refresh on every activation. AllocsPerRun truncates to whole
+// allocations per run, so a path that allocates must run on every op
+// to show. The neighbour refresh takes one distance at a time and the
+// PrIDE ring is a fixed array precisely so these hold.
 func TestZooHotPathAllocFree(t *testing.T) {
 	cfg := testConfig()
 	id := dram.BankID{}
-
-	t.Run("MINT", func(t *testing.T) {
-		sys := dram.MustNew(cfg)
-		m := NewMINT(sys, 1)
-		now := int64(0)
-		step := int64(cfg.TRC)
-		// Warm-up: materialize DRAM's dense per-bank state.
-		for i := 0; i < 400; i++ {
-			m.OnActivate(id, 100+i%8, 100+i%8, now)
-			now += step
-		}
-		if avg := testing.AllocsPerRun(2000, func() {
-			m.OnActivate(id, 100, 100, now)
-			now += step
-		}); avg != 0 {
-			t.Fatalf("MINT.OnActivate allocates %.2f allocs/op, want 0", avg)
-		}
-	})
-
-	t.Run("PrIDE", func(t *testing.T) {
-		sys := dram.MustNew(cfg)
-		q := NewPrIDE(sys, 1.0, 1) // p=1: every op exercises the queue
-		now := int64(0)
-		step := int64(cfg.TRC)
-		for i := 0; i < 400; i++ {
-			q.OnActivate(id, 100+i%8, 100+i%8, now)
-			now += step
-		}
-		if avg := testing.AllocsPerRun(2000, func() {
-			q.OnActivate(id, 100, 100, now)
-			now += step
-		}); avg != 0 {
-			t.Fatalf("PrIDE.OnActivate allocates %.2f allocs/op, want 0", avg)
-		}
-	})
-
-	t.Run("DAPPER", func(t *testing.T) {
-		sys := dram.MustNew(cfg)
-		d := NewDAPPER(sys, 1.0, 1)
-		now := int64(0)
-		step := int64(cfg.TRC)
-		for i := 0; i < 400; i++ {
-			d.OnActivate(id, 100+i%8, 100+i%8, now)
-			now += step
-		}
-		if avg := testing.AllocsPerRun(2000, func() {
-			d.OnActivate(id, 100, 100, now)
-			now += step
-		}); avg != 0 {
-			t.Fatalf("DAPPER.OnActivate allocates %.2f allocs/op, want 0", avg)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		new  func(sys *dram.System) memctrl.Mitigation
+	}{
+		{"MINT", func(sys *dram.System) memctrl.Mitigation { return NewMINT(sys, 1) }},
+		// p=1: every op exercises the queue.
+		{"PrIDE", func(sys *dram.System) memctrl.Mitigation { return NewPrIDE(sys, 1.0, 1) }},
+		{"DAPPER", func(sys *dram.System) memctrl.Mitigation { return NewDAPPER(sys, 1.0, 1) }},
+		{"PARA", func(sys *dram.System) memctrl.Mitigation { return NewPARA(sys, 1.0, 1) }},
+		{"Graphene-r1", func(sys *dram.System) memctrl.Mitigation { return NewGraphene(sys, 1, 1, 1) }},
+		{"Graphene-r2", func(sys *dram.System) memctrl.Mitigation { return NewGraphene(sys, 1, 2, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.new(dram.MustNew(cfg))
+			now := int64(0)
+			step := int64(cfg.TRC)
+			// Warm-up: materialize DRAM's dense per-bank state.
+			for i := 0; i < 400; i++ {
+				m.OnActivate(id, 100+i%8, 100+i%8, now)
+				now += step
+			}
+			if avg := testing.AllocsPerRun(2000, func() {
+				m.OnActivate(id, 100, 100, now)
+				now += step
+			}); avg != 0 {
+				t.Fatalf("%s.OnActivate allocates %.2f allocs/op, want 0", c.name, avg)
+			}
+		})
+	}
 }
 
 // allocBytes returns the heap bytes fn allocates.

@@ -75,15 +75,14 @@ func (m *Graphene) OnEpoch(int64) {
 // OnActivate implements memctrl.Mitigation.
 func (m *Graphene) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.ActResult {
 	u := m.units[bankIndex(m.cfg, id)]
-	if _, crossed := u.Observe(uint64(row)); !crossed {
+	if !u.Observe(uint64(row)) {
 		return memctrl.ActResult{}
 	}
 	m.stat.Mitigations++
-	dists := make([]int, 0, 2*m.blastRadius)
+	n := 0
 	for d := 1; d <= m.blastRadius; d++ {
-		dists = append(dists, -d, +d)
+		n += refreshNeighbors(m.sys, id, physRow, d, now)
 	}
-	n := refreshNeighbors(m.sys, id, physRow, now, dists...)
 	m.stat.Refreshes += int64(n)
 	return memctrl.ActResult{BankBlock: victimRefreshCost(m.cfg, n)}
 }

@@ -60,7 +60,7 @@ func (m *Ideal) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.
 		return memctrl.ActResult{}
 	}
 	m.stat.Mitigations++
-	n := refreshNeighbors(m.sys, id, physRow, now, -1, +1)
+	n := refreshNeighbors(m.sys, id, physRow, 1, now)
 	m.stat.Refreshes += int64(n)
 	if m.Free {
 		return memctrl.ActResult{}

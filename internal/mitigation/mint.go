@@ -29,7 +29,6 @@ type MINT struct {
 	cfg config.Config
 	// w is the per-window activation budget the sampler draws from.
 	w     int64
-	trefi int64
 	units []mintUnit
 	stat  VictimStats
 }
@@ -38,7 +37,7 @@ type MINT struct {
 // the sampling counter — the paper's "1 counter" cost.
 type mintUnit struct {
 	rng *prince.CTR
-	// window is the index (now/tREFI) the unit last observed.
+	// window is the tREFI window index the unit last observed.
 	window int64
 	// actIdx counts activations within the current window.
 	actIdx int64
@@ -51,11 +50,7 @@ type mintUnit struct {
 // NewMINT creates the mitigation over sys.
 func NewMINT(sys *dram.System, seed uint64) *MINT {
 	cfg := sys.Config()
-	trefi := int64(cfg.TREFI)
-	if trefi <= 0 {
-		panic("mitigation: MINT requires a positive tREFI")
-	}
-	w := trefi / int64(cfg.TRC)
+	w := int64(cfg.TREFI) / int64(cfg.TRC)
 	if w < 1 {
 		w = 1
 	}
@@ -64,7 +59,6 @@ func NewMINT(sys *dram.System, seed uint64) *MINT {
 		sys:   sys,
 		cfg:   cfg,
 		w:     w,
-		trefi: trefi,
 		units: make([]mintUnit, nBanks),
 	}
 	seeds := prince.Seeded(seed)
@@ -113,9 +107,9 @@ func (m *MINT) OnActivate(id dram.BankID, _, physRow int, now int64) memctrl.Act
 	bi := bankIndex(m.cfg, id)
 	u := &m.units[bi]
 	var res memctrl.ActResult
-	if w := now / m.trefi; w != u.window {
+	if w, _ := m.sys.RefreshWindow(now); w != u.window {
 		if u.latched >= 0 {
-			n := refreshPair(m.sys, id, int(u.latched), now)
+			n := refreshNeighbors(m.sys, id, int(u.latched), 1, now)
 			m.stat.Mitigations++
 			m.stat.Refreshes += int64(n)
 			m.recordRefresh(int32(bi), int(u.latched), n, now)

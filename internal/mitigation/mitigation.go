@@ -34,35 +34,17 @@ import (
 	"repro/internal/obs"
 )
 
-// refreshNeighbors activates the rows at the given distances from row,
-// clamped to the bank. It returns the number of activations performed so
-// callers can charge bank time.
-func refreshNeighbors(sys *dram.System, id dram.BankID, row int, now int64, distances ...int) int {
+// refreshNeighbors activates the rows dist below and dist above row, in
+// that order, skipping any outside the bank. It returns the number of
+// activations performed so callers can charge bank time.
+func refreshNeighbors(sys *dram.System, id dram.BankID, row, dist int, now int64) int {
 	n := 0
-	rows := sys.Config().RowsPerBank
-	for _, d := range distances {
-		v := row + d
-		if v < 0 || v >= rows {
-			continue
-		}
-		sys.Activate(id, v, now)
+	if row-dist >= 0 {
+		sys.Activate(id, row-dist, now)
 		n++
 	}
-	return n
-}
-
-// refreshPair activates row-1 and row+1 (clamped to the bank) and returns
-// the number of activations performed. It is the non-variadic twin of
-// refreshNeighbors for the zoo defenses' hot paths, which carry 0
-// allocs/op pins: no distance slice is ever materialized.
-func refreshPair(sys *dram.System, id dram.BankID, row int, now int64) int {
-	n := 0
-	if row-1 >= 0 {
-		sys.Activate(id, row-1, now)
-		n++
-	}
-	if row+1 < sys.Config().RowsPerBank {
-		sys.Activate(id, row+1, now)
+	if row+dist < sys.Config().RowsPerBank {
+		sys.Activate(id, row+dist, now)
 		n++
 	}
 	return n
@@ -136,7 +118,6 @@ var _ memctrl.Mitigation = (*Graphene)(nil)
 var _ memctrl.Mitigation = (*Ideal)(nil)
 var _ memctrl.Mitigation = (*BlockHammer)(nil)
 var _ memctrl.Mitigation = (*SRS)(nil)
-var _ memctrl.Batcher = (*SRS)(nil)
 var _ memctrl.Mitigation = (*Rubix)(nil)
 var _ memctrl.Mitigation = (*MINT)(nil)
 var _ memctrl.Mitigation = (*PrIDE)(nil)

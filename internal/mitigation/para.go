@@ -60,7 +60,7 @@ func (m *PARA) OnActivate(id dram.BankID, _, physRow int, now int64) memctrl.Act
 		return memctrl.ActResult{}
 	}
 	m.stat.Mitigations++
-	n := refreshNeighbors(m.sys, id, physRow, now, -1, +1)
+	n := refreshNeighbors(m.sys, id, physRow, 1, now)
 	m.stat.Refreshes += int64(n)
 	return memctrl.ActResult{BankBlock: victimRefreshCost(m.cfg, n)}
 }

@@ -35,7 +35,6 @@ type PrIDE struct {
 	p float64
 	// replace selects DAPPER's random-replacement overflow policy.
 	replace bool
-	trefi   int64
 	units   []prideUnit
 	stat    PrIDEStats
 }
@@ -97,17 +96,12 @@ func newPrIDE(sys *dram.System, p float64, seed uint64, replace bool) *PrIDE {
 		panic("mitigation: PrIDE probability out of range")
 	}
 	cfg := sys.Config()
-	trefi := int64(cfg.TREFI)
-	if trefi <= 0 {
-		panic("mitigation: PrIDE requires a positive tREFI")
-	}
 	nBanks := cfg.Channels * cfg.Ranks * cfg.Banks
 	q := &PrIDE{
 		sys:     sys,
 		cfg:     cfg,
 		p:       p,
 		replace: replace,
-		trefi:   trefi,
 		units:   make([]prideUnit, nBanks),
 	}
 	seeds := prince.Seeded(seed)
@@ -153,13 +147,13 @@ func (q *PrIDE) OnActivate(id dram.BankID, _, physRow int, now int64) memctrl.Ac
 	bi := bankIndex(q.cfg, id)
 	u := &q.units[bi]
 	var res memctrl.ActResult
-	if w := now / q.trefi; w != u.window {
+	if w, _ := q.sys.RefreshWindow(now); w != u.window {
 		u.window = w
 		if u.n > 0 {
 			victim := int(u.ring[u.head])
 			u.head = (u.head + 1) % prideQueueCap
 			u.n--
-			n := refreshPair(q.sys, id, victim, now)
+			n := refreshNeighbors(q.sys, id, victim, 1, now)
 			q.stat.Serviced++
 			q.stat.Refreshes += int64(n)
 			q.recordRefresh(int32(bi), victim, n, now)

@@ -112,13 +112,12 @@ func (r *Rubix) AccessPenalty() int64 { return r.keyPenalty }
 func (r *Rubix) OnEpoch(int64) {}
 
 // OnActivate implements memctrl.Mitigation: probabilistically refresh the
-// *physical* neighbours of the activated slot. Headroom is zero — a
-// probabilistic defense provides no deterministic inertness window.
+// *physical* neighbours of the activated slot.
 func (r *Rubix) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.ActResult {
 	if r.rng.Float64() >= r.prob {
 		return memctrl.ActResult{}
 	}
-	n := refreshPair(r.sys, id, physRow, now)
+	n := refreshNeighbors(r.sys, id, physRow, 1, now)
 	r.stat.Mitigations++
 	r.stat.Refreshes += int64(n)
 	r.recordRefresh(int32(bankIndex(r.cfg, id)), physRow, n, now)

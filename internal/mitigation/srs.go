@@ -227,19 +227,16 @@ func (s *SRS) OnEpoch(int64) {
 // random cold slot and refresh the slot's neighbours.
 func (s *SRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.ActResult {
 	u := s.unit(id)
-	count, crossed := u.hrt.Observe(uint64(physRow))
-	// A swap never touches the tracker, so count still holds after one.
-	headroom := s.headroom(count)
-	if !crossed {
-		return memctrl.ActResult{Headroom: headroom}
+	if !u.hrt.Observe(uint64(physRow)) {
+		return memctrl.ActResult{}
 	}
 	// The slot has absorbed SwapThreshold activations: refresh its
 	// neighbours (they carry the accumulated disturbance) and move the
 	// occupant away so continued pressure lands on a cold neighbourhood.
-	n := refreshPair(s.sys, id, physRow, now)
+	n := refreshNeighbors(s.sys, id, physRow, 1, now)
 	s.stat.Refreshes += int64(n)
 	s.recordRefresh(u.bank, physRow, n, now)
-	res := memctrl.ActResult{BankBlock: victimRefreshCost(s.cfg, n), Headroom: headroom}
+	res := memctrl.ActResult{BankBlock: victimRefreshCost(s.cfg, n)}
 
 	dest, ok := s.pickDestination(u, physRow)
 	if !ok {
@@ -262,29 +259,6 @@ func (s *SRS) OnActivate(id dram.BankID, row, physRow int, now int64) memctrl.Ac
 	}
 	res.ChannelBlock = s.params.SwapOpCycles
 	return res
-}
-
-// headroom mirrors RRS's grant: a slot with estimated count c cannot
-// cross the next multiple of SwapThreshold for another T-1-(c mod T)
-// activations, and non-triggering activations are inert. An untracked
-// slot (c == 0) gets none.
-func (s *SRS) headroom(c int64) int64 {
-	if c == 0 {
-		return 0
-	}
-	return s.params.SwapThreshold - 1 - c%s.params.SwapThreshold
-}
-
-// OnActivateN implements memctrl.Batcher: a deferred same-row burst hits
-// the same physical slot, so one bulk tracker update replays it.
-func (s *SRS) OnActivateN(id dram.BankID, _, physRow int, _ int64, n int64) {
-	if n <= 0 {
-		return
-	}
-	u := s.unit(id)
-	if fired := u.hrt.ObserveN(uint64(physRow), n); fired != 0 {
-		panic("mitigation: SRS deferred burst crossed the swap threshold")
-	}
 }
 
 // pickDestination draws a random logical row whose physical slot is cold:

@@ -115,17 +115,6 @@ func TestSRSEpochResetsCountersNotPermutation(t *testing.T) {
 	}
 }
 
-func TestSRSHeadroomGrant(t *testing.T) {
-	sys := dram.MustNew(testConfig())
-	s := NewSRS(sys, srsTestParams())
-	id := dram.BankID{}
-	res := s.OnActivate(id, 100, 100, 0)
-	// After one activation of the slot, T-1-(1 mod T) = 6 more are inert.
-	if res.Headroom != 6 {
-		t.Fatalf("headroom = %d, want 6", res.Headroom)
-	}
-}
-
 func TestSRSParanoidCatalog(t *testing.T) {
 	cases := []struct {
 		name string

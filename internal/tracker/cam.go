@@ -161,7 +161,7 @@ func (c *CAM) idxDelete(row uint64) {
 }
 
 // Observe implements Tracker.
-func (c *CAM) Observe(row uint64) (int64, bool) {
+func (c *CAM) Observe(row uint64) bool {
 	if s := c.lookup(row); s >= 0 {
 		cnt := c.cnts[s]
 		c.cnts[s] = cnt + 1
@@ -175,7 +175,7 @@ func (c *CAM) Observe(row uint64) (int64, bool) {
 		if crossed && c.rec != nil {
 			c.rec.RecordNow(obs.KindHRTCross, c.obsBank, row, uint64(cnt+1))
 		}
-		return cnt + 1, crossed
+		return crossed
 	}
 	// Installs never trigger: a row not in the table has a true count of
 	// at most the spill counter, which the Misra-Gries sizing bounds by
@@ -190,11 +190,11 @@ func (c *CAM) Observe(row uint64) (int64, bool) {
 		if c.rec != nil {
 			c.rec.RecordNow(obs.KindHRTInsert, c.obsBank, row, uint64(c.spill+1))
 		}
-		return c.spill + 1, false
+		return false
 	}
 	if c.minVal > c.spill {
 		c.spill++
-		return 0, false
+		return false
 	}
 	// minVal == spill (minVal < spill is impossible; the spill counter
 	// only advances past the minimum): replace one minimum entry with the
@@ -216,42 +216,7 @@ func (c *CAM) Observe(row uint64) (int64, bool) {
 	if c.rec != nil {
 		c.rec.RecordNow(obs.KindHRTInsert, c.obsBank, row, uint64(c.spill+1))
 	}
-	return c.spill + 1, false
-}
-
-// ObserveN implements Tracker. For a tracked row the n counter bumps
-// collapse into one addition; the cached-minimum bookkeeping is the same
-// as for a single bump because the entry leaves the minimum either way
-// (advanceMin recomputes the exact new minimum). Untracked rows fall
-// back to n single observations, since installs, spill advances and
-// evictions can interleave.
-func (c *CAM) ObserveN(row uint64, n int64) int {
-	if n <= 0 {
-		return 0
-	}
-	if s := c.lookup(row); s >= 0 {
-		cnt := c.cnts[s]
-		c.cnts[s] = cnt + n
-		if cnt == c.minVal {
-			c.minCount--
-			if c.minCount == 0 {
-				c.advanceMin()
-			}
-		}
-		fired := int((cnt+n)/c.threshold - cnt/c.threshold)
-		if fired > 0 && c.rec != nil {
-			// The burst collapses into one event at the final count.
-			c.rec.RecordNow(obs.KindHRTCross, c.obsBank, row, uint64(cnt+n))
-		}
-		return fired
-	}
-	fired := 0
-	for i := int64(0); i < n; i++ {
-		if _, crossed := c.Observe(row); crossed {
-			fired++
-		}
-	}
-	return fired
+	return false
 }
 
 // installAt writes (row, cnt) into slot and maintains the index and the

@@ -184,7 +184,7 @@ func (t *CAT) globalMin() int64 {
 }
 
 // Observe implements Tracker.
-func (t *CAT) Observe(row uint64) (int64, bool) {
+func (t *CAT) Observe(row uint64) bool {
 	if ti, s, p := t.tab.LookupPos(row); p != nil {
 		prev := *p
 		*p = prev + 1
@@ -197,17 +197,18 @@ func (t *CAT) Observe(row uint64) (int64, bool) {
 		if crossed && t.rec != nil {
 			t.rec.RecordNow(obs.KindHRTCross, t.obsBank, row, uint64(prev+1))
 		}
-		return prev + 1, crossed
+		return crossed
 	}
 	// Installs never trigger (see the CAM implementation's comment: an
 	// untracked row's true count is bounded by the spill counter < T).
 	if t.tab.Len() < t.capacity {
-		return t.install(row), false
+		t.install(row)
+		return false
 	}
 	min := t.globalMin()
 	if min > t.spill {
 		t.spill++
-		return 0, false
+		return false
 	}
 	// Replace an entry holding the minimum count: find a set whose SetMin
 	// equals the global minimum and evict a minimum entry from it.
@@ -222,37 +223,8 @@ func (t *CAT) Observe(row uint64) (int64, bool) {
 		}
 		t.recomputeSetMin(vti, vs)
 	}
-	return t.install(row), false
-}
-
-// ObserveN implements Tracker: n counter bumps collapse into one
-// addition for a tracked row (recomputeSetMin is an exact rescan, so the
-// single-bump bookkeeping carries over); untracked rows fall back to n
-// single observations.
-func (t *CAT) ObserveN(row uint64, n int64) int {
-	if n <= 0 {
-		return 0
-	}
-	if ti, s, p := t.tab.LookupPos(row); p != nil {
-		prev := *p
-		*p = prev + n
-		if prev == t.setMin[ti][s] {
-			t.recomputeSetMin(ti, s)
-		}
-		fired := int((prev+n)/t.threshold - prev/t.threshold)
-		if fired > 0 && t.rec != nil {
-			// The burst collapses into one event at the final count.
-			t.rec.RecordNow(obs.KindHRTCross, t.obsBank, row, uint64(prev+n))
-		}
-		return fired
-	}
-	fired := 0
-	for i := int64(0); i < n; i++ {
-		if _, crossed := t.Observe(row); crossed {
-			fired++
-		}
-	}
-	return fired
+	t.install(row)
+	return false
 }
 
 // findMinEntry locates the first entry (in table, set, way order) whose
@@ -279,15 +251,14 @@ func (t *CAT) findMinEntry(min int64) (ti, s, way int, found bool) {
 	return 0, 0, 0, false
 }
 
-// install adds a missed row at spill+1 and returns that count, or 0 when
-// a CAT conflict (astronomically rare with 6 extra ways) dropped the
-// install, which only makes the tracker more conservative about the
-// spill bound on the next miss.
-func (t *CAT) install(row uint64) int64 {
+// install adds a missed row at spill+1. A CAT conflict (astronomically
+// rare with 6 extra ways) drops the install, which only makes the
+// tracker more conservative about the spill bound on the next miss.
+func (t *CAT) install(row uint64) {
 	cnt := t.spill + 1
 	ti, s, vp := t.tab.InstallPos(row, cnt)
 	if vp == nil {
-		return 0
+		return
 	}
 	if t.rec != nil {
 		t.rec.RecordNow(obs.KindHRTInsert, t.obsBank, row, uint64(cnt))
@@ -297,12 +268,11 @@ func (t *CAT) install(row uint64) int64 {
 		// incremental bookkeeping cannot attribute it, so rebuild.
 		t.relocs = r
 		t.recomputeAllSetMin()
-		return cnt
+		return
 	}
 	if cnt < t.setMin[ti][s] {
 		t.setSetMin(ti, s, cnt)
 	}
-	return cnt
 }
 
 // EnableEvictionLog implements EvictionReporter.

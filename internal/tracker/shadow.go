@@ -123,14 +123,14 @@ func (s *Shadow) removeRef(row uint64) {
 
 // Observe implements Tracker: the observation runs on the wrapped
 // tracker, then the reference model mirrors it and every externally
-// visible consequence is cross-checked, the returned count included.
-func (s *Shadow) Observe(row uint64) (int64, bool) {
+// visible consequence is cross-checked.
+func (s *Shadow) Observe(row uint64) bool {
 	var preEv uint64
 	if s.rec != nil {
 		preEv = s.rec.Evictions()
 	}
 	preLen := s.inner.Len()
-	count, fired := s.inner.Observe(row)
+	fired := s.inner.Observe(row)
 	s.checks++
 	if prev, tracked := s.counts[row]; tracked {
 		cur := prev + 1
@@ -157,10 +157,7 @@ func (s *Shadow) Observe(row uint64) (int64, bool) {
 	if got := s.inner.Len(); got != len(s.counts) {
 		s.report("tracker holds %d entries, reference model %d", got, len(s.counts))
 	}
-	if want := s.counts[row]; count != want {
-		s.report("Observe(%d) returned count %d, reference model says %d (0 = untracked)", row, count, want)
-	}
-	return count, fired
+	return fired
 }
 
 // afterMissReported mirrors an observation of an untracked row using the
@@ -290,54 +287,6 @@ func (s *Shadow) evictVictim() {
 	default:
 		s.report("%d minimum-count reference rows vanished in one eviction", found)
 	}
-}
-
-// ObserveN implements Tracker. A tracked row's bulk update is mirrored
-// as one addition. An untracked row replays as single observations (the
-// Tracker contract makes that state-identical) only until one of them
-// installs the row — at most a handful of spill advances — after which
-// the remainder of the burst takes the tracked bulk path, keeping every
-// install, spill advance and eviction individually checked without
-// losing the burst batching the hot path relies on.
-func (s *Shadow) ObserveN(row uint64, n int64) int {
-	if n <= 0 {
-		return s.inner.ObserveN(row, n)
-	}
-	if _, tracked := s.counts[row]; tracked {
-		return s.observeTrackedN(row, n)
-	}
-	fired := 0
-	for i := int64(0); i < n; i++ {
-		if _, crossed := s.Observe(row); crossed {
-			fired++
-		}
-		if _, tracked := s.counts[row]; tracked {
-			if rem := n - i - 1; rem > 0 {
-				fired += s.observeTrackedN(row, rem)
-			}
-			break
-		}
-	}
-	return fired
-}
-
-// observeTrackedN mirrors a bulk update of a row the reference model
-// tracks as one addition, cross-checking the final count and the number
-// of threshold crossings.
-func (s *Shadow) observeTrackedN(row uint64, n int64) int {
-	prev := s.counts[row]
-	fired := s.inner.ObserveN(row, n)
-	s.checks++
-	cur := prev + n
-	s.bumpRef(row, prev, cur)
-	if got, ok := s.inner.Count(row); !ok || got != cur {
-		s.report("after ObserveN(%d, %d): count %d (tracked=%v), reference model says %d", row, n, got, ok, cur)
-	}
-	t := s.inner.Threshold()
-	if want := int(cur/t - prev/t); fired != want {
-		s.report("ObserveN(%d, %d) fired %d times at count %d -> %d, reference model says %d", row, n, fired, prev, cur, want)
-	}
-	return fired
 }
 
 // Verify sweeps the reference model against the wrapped tracker: every

@@ -27,17 +27,8 @@ import "repro/internal/obs"
 type Tracker interface {
 	// Observe records one activation of row and reports whether the row's
 	// estimated count just crossed a multiple of the threshold — i.e.,
-	// whether the mitigating action (row swap) should run now. count is
-	// the row's estimate after the observation, as Count would report it,
-	// or 0 if the row is left untracked; callers that need the estimate
-	// take it from here instead of paying a second lookup.
-	Observe(row uint64) (count int64, crossed bool)
-	// ObserveN records n consecutive activations of row in one bulk
-	// update, with final state identical to n Observe calls, and returns
-	// how many of them crossed a multiple of the threshold. The memory
-	// controller uses it to deliver a deferred same-row activation burst
-	// with a single tracker update.
-	ObserveN(row uint64, n int64) int
+	// whether the mitigating action (row swap) should run now.
+	Observe(row uint64) bool
 	// Contains reports whether row currently has a tracker entry. RRS
 	// excludes tracked rows from being random swap destinations.
 	Contains(row uint64) bool

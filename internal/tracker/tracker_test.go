@@ -134,7 +134,7 @@ func TestThresholdTriggerOnExactMultiple(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fired := 0
 			for i := 1; i <= 15; i++ {
-				if _, crossed := tr.Observe(7); crossed {
+				if tr.Observe(7) {
 					fired++
 					if cnt, _ := tr.Count(7); cnt%5 != 0 {
 						t.Fatalf("fired at count %d, not a multiple of 5", cnt)
@@ -169,7 +169,7 @@ func TestMisraGriesGuarantee(t *testing.T) {
 					row = uint64(4 + rng.Intn(60))
 				}
 				truth[row]++
-				if _, crossed := tr.Observe(row); crossed {
+				if tr.Observe(row) {
 					fired[row]++
 				}
 				if truth[row]%threshold == 0 {
@@ -223,7 +223,7 @@ func TestResetClearsState(t *testing.T) {
 			}
 			// Tracker must work normally after reset.
 			for i := int64(1); i <= 3; i++ {
-				_, got := tr.Observe(42)
+				got := tr.Observe(42)
 				if want := i == 3; got != want {
 					t.Fatalf("obs %d after reset: fired=%v want %v", i, got, want)
 				}
@@ -298,8 +298,8 @@ func TestCAMDeterministicEviction(t *testing.T) {
 	// evictions constantly choose among several minimum entries.
 	for i := 0; i < 5000; i++ {
 		row := uint64(rng.Intn(64))
-		_, fa := a.Observe(row)
-		_, fb := b.Observe(row)
+		fa := a.Observe(row)
+		fb := b.Observe(row)
 		if fa != fb {
 			t.Fatalf("obs %d row %d: trigger mismatch (%v vs %v)", i, row, fa, fb)
 		}
@@ -330,7 +330,7 @@ func TestCAMMatchesReferenceModel(t *testing.T) {
 	rng := prince.Seeded(23)
 	for i := 0; i < 4000; i++ {
 		row := uint64(rng.Intn(40))
-		_, fired := c.Observe(row)
+		fired := c.Observe(row)
 		if cnt, ok := model[row]; ok {
 			model[row] = cnt + 1
 			if want := crossedMultiple(cnt, cnt+1, threshold); fired != want {
@@ -410,7 +410,7 @@ func TestPaperScaleTrackerHandlesFullEpoch(t *testing.T) {
 			row = uint64(rng.Intn(128 << 10))
 		}
 		truth[row]++
-		if _, crossed := tr.Observe(row); crossed {
+		if tr.Observe(row) {
 			swaps++
 		}
 	}

@@ -50,8 +50,7 @@ func linearVictim(c *CAT, row uint64) (victim uint64, ok bool) {
 // the one the linear scan would. The shadow oracle cannot see this — it
 // accepts any victim at the minimum count. The geometries cover the
 // paper's 2x64 sets (one mask word per table) and 2x100 sets (a partial
-// second word); the stream mixes single and bulk observations and
-// resets the tracker once.
+// second word); the stream resets the tracker once.
 func TestCATVictimSequenceMatchesLinearScan(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -77,12 +76,6 @@ func TestCATVictimSequenceMatchesLinearScan(t *testing.T) {
 					c.Reset()
 				}
 				row := zipf.Uint64()
-				if rng.Intn(8) == 0 {
-					if c.Contains(row) {
-						c.ObserveN(row, int64(1+rng.Intn(5)))
-						continue
-					}
-				}
 				want, evicts := linearVictim(c, row)
 				before := c.Evictions()
 				c.Observe(row)
