@@ -8,25 +8,25 @@
 //	rrs-attack -pattern doublesided -defense none
 //
 // Patterns: singlesided, doublesided, manysided, halfdouble, chase.
-// Defenses: none, para, graphene, graphene2 (blast radius 2), ideal, rrs,
-// blockhammer.
+// Defenses: every name the job service accepts (none, rrs, rrs-cam,
+// para, graphene, ideal, blockhammer, srs, rubix, mint, pride, dapper),
+// built from the same table.
 //
-// The system runs at the attack scale (T_RH = 240, 2400 activations per
-// epoch) where the disturbance model's security margins are proportional
-// to the paper's full-scale parameters.
+// The system runs at the attack scale (attack.ScaleConfig: T_RH = 240,
+// 2400 activations per epoch) where the disturbance model's security
+// margins are proportional to the paper's full-scale parameters.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/attack"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/dram"
-	"repro/internal/memctrl"
-	"repro/internal/mitigation"
+	"repro/internal/service"
 )
 
 func main() {
@@ -39,49 +39,51 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := attackConfig()
-	p, err := makePattern(*pattern, cfg, *victim, *seed)
-	if err != nil {
-		fatalf("%v", err)
+	if err := run(os.Stdout, *pattern, *defense, *epochs, *victim, *seed); err != nil {
+		fmt.Fprintf(os.Stderr, "rrs-attack: %v\n", err)
+		os.Exit(1)
 	}
-	mit, err := makeDefense(*defense)
+}
+
+// run attacks the named defense with the named pattern and writes the
+// report to w.
+func run(w io.Writer, pattern, defense string, epochs, victim int, seed uint64) error {
+	cfg := attack.ScaleConfig()
+	p, err := makePattern(pattern, cfg, victim, seed)
 	if err != nil {
-		fatalf("%v", err)
+		return err
+	}
+	mit, err := service.MitigationFactory(defense, 1, attack.BlockHammerBlacklist)
+	if err != nil {
+		return err
 	}
 
 	ctl, fm := attack.NewSystem(cfg, 0, attack.Alpha2For(cfg), mit)
-	res := attack.Run(ctl, fm, p, attack.Options{Epochs: *epochs})
+	res := attack.Run(ctl, fm, p, attack.Options{Epochs: epochs})
 
-	fmt.Printf("pattern:  %s (victim row %d)\n", res.Pattern, *victim)
-	fmt.Printf("defense:  %s\n", *defense)
-	fmt.Printf("duration: %d epochs, %d attacker accesses\n", *epochs, res.Accesses)
-	fmt.Printf("attacker access rate: %.5f/cycle\n\n", res.AccessRate)
+	fmt.Fprintf(w, "pattern:  %s (victim row %d)\n", res.Pattern, victim)
+	fmt.Fprintf(w, "defense:  %s\n", defense)
+	fmt.Fprintf(w, "duration: %d epochs, %d attacker accesses\n", epochs, res.Accesses)
+	fmt.Fprintf(w, "attacker access rate: %.5f/cycle\n\n", res.AccessRate)
 	if res.Defended() {
-		fmt.Println("RESULT: defended — no bit flips")
+		fmt.Fprintln(w, "RESULT: defended — no bit flips")
 	} else {
-		fmt.Printf("RESULT: DEFEATED — %d bit flip(s), first at cycle %d\n",
+		fmt.Fprintf(w, "RESULT: DEFEATED — %d bit flip(s), first at cycle %d\n",
 			res.Flips, res.FirstFlipTime)
 		for i, f := range fm.Flips() {
 			if i >= 10 {
-				fmt.Printf("  ... and %d more\n", len(fm.Flips())-10)
+				fmt.Fprintf(w, "  ... and %d more\n", len(fm.Flips())-10)
 				break
 			}
-			fmt.Printf("  %s\n", f)
+			fmt.Fprintf(w, "  %s\n", f)
 		}
 	}
 	if r, ok := ctl.Mitigation().(*core.RRS); ok {
 		st := r.Stats()
-		fmt.Printf("\nRRS activity: %d swaps (%d re-swaps), %d eviction un-swaps\n",
+		fmt.Fprintf(w, "\nRRS activity: %d swaps (%d re-swaps), %d eviction un-swaps\n",
 			st.Swaps, st.Reswaps, st.EvictionUnswaps)
 	}
-}
-
-func attackConfig() config.Config {
-	cfg := config.Default()
-	cfg.RowsPerBank = 4 << 10
-	cfg.EpochCycles = int64(cfg.TRC) * 2400
-	cfg.RowHammerThreshold = 240
-	return cfg
+	return nil
 }
 
 func makePattern(name string, cfg config.Config, victim int, seed uint64) (attack.Pattern, error) {
@@ -99,51 +101,4 @@ func makePattern(name string, cfg config.Config, victim int, seed uint64) (attac
 	default:
 		return nil, fmt.Errorf("unknown pattern %q", name)
 	}
-}
-
-func makeDefense(name string) (func(*dram.System) memctrl.Mitigation, error) {
-	switch name {
-	case "none":
-		return nil, nil
-	case "para":
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewPARA(sys,
-				mitigation.DefaultPARAProbability(sys.Config().RowHammerThreshold), 7)
-		}, nil
-	case "graphene", "graphene2":
-		radius := 1
-		if name == "graphene2" {
-			radius = 2
-		}
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewGraphene(sys,
-				mitigation.DefaultGrapheneThreshold(sys.Config().RowHammerThreshold), radius, 7)
-		}, nil
-	case "ideal":
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewIdeal(sys,
-				mitigation.DefaultGrapheneThreshold(sys.Config().RowHammerThreshold))
-		}, nil
-	case "rrs":
-		return func(sys *dram.System) memctrl.Mitigation {
-			r, err := core.New(sys, core.DefaultParams(sys.Config()))
-			if err != nil {
-				panic(err)
-			}
-			return r
-		}, nil
-	case "blockhammer":
-		return func(sys *dram.System) memctrl.Mitigation {
-			p := mitigation.DefaultBlockHammerParams()
-			p.BlacklistThreshold = 60
-			return mitigation.NewBlockHammer(sys, p)
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown defense %q", name)
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rrs-attack: "+format+"\n", args...)
-	os.Exit(1)
 }

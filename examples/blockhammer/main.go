@@ -17,28 +17,24 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
-	"repro/internal/mitigation"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 const scale = 16
 
-func rrsFactory(sys *dram.System) memctrl.Mitigation {
-	r, err := core.New(sys, core.ScaledParams(sys.Config()))
+// defense builds a named defense from the service table: at the
+// experiment scale with Table 2's blacklist of 512 for the benign run,
+// or at scale 1 with the attack-scale blacklist for the attack.
+func defense(name string, scale int, blacklist uint32) func(*dram.System) memctrl.Mitigation {
+	f, err := service.MitigationFactory(name, scale, blacklist)
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
-	return r
-}
-
-func bhFactory(sys *dram.System) memctrl.Mitigation {
-	p := mitigation.DefaultBlockHammerParams()
-	p.BlacklistThreshold = 512 / scale
-	return mitigation.NewBlockHammer(sys, p)
+	return f
 }
 
 func main() {
@@ -57,12 +53,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts.Mitigation = rrsFactory
+	opts.Mitigation = defense(service.MitRRS, scale, 512)
 	rrs, err := sim.Run(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts.Mitigation = bhFactory
+	opts.Mitigation = defense(service.MitBlockHammer, scale, 512)
 	bh, err := sim.Run(opts)
 	if err != nil {
 		log.Fatal(err)
@@ -73,28 +69,15 @@ func main() {
 
 	// Part 2: the attacker's view — how hard each defense throttles a
 	// double-sided hammer.
-	acfg := config.Default()
-	acfg.RowsPerBank = 4 << 10
-	acfg.EpochCycles = int64(acfg.TRC) * 2400
-	acfg.RowHammerThreshold = 240
-
-	rate := func(mit func(*dram.System) memctrl.Mitigation) float64 {
+	acfg := attack.ScaleConfig()
+	rate := func(name string) float64 {
+		mit := defense(name, 1, attack.BlockHammerBlacklist)
 		ctl, fm := attack.NewSystem(acfg, 0, attack.Alpha2For(acfg), mit)
 		return attack.Run(ctl, fm, attack.NewDoubleSided(100), attack.Options{Epochs: 2}).AccessRate
 	}
-	baseRate := rate(nil)
-	rrsRate := rate(func(sys *dram.System) memctrl.Mitigation {
-		r, err := core.New(sys, core.DefaultParams(sys.Config()))
-		if err != nil {
-			panic(err)
-		}
-		return r
-	})
-	bhRate := rate(func(sys *dram.System) memctrl.Mitigation {
-		p := mitigation.DefaultBlockHammerParams()
-		p.BlacklistThreshold = 60
-		return mitigation.NewBlockHammer(sys, p)
-	})
+	baseRate := rate(service.MitNone)
+	rrsRate := rate(service.MitRRS)
+	bhRate := rate(service.MitBlockHammer)
 	fmt.Println("Attacker throughput (double-sided hammer):")
 	fmt.Printf("  no defense:  %.5f accesses/cycle\n", baseRate)
 	fmt.Printf("  RRS:         %.5f (%.1fx slower — bounded by swap time)\n",

@@ -12,38 +12,20 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/attack"
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/dram"
-	"repro/internal/memctrl"
-	"repro/internal/mitigation"
+	"repro/internal/service"
 )
 
 func main() {
-	cfg := config.Default()
-	cfg.RowsPerBank = 4 << 10
-	cfg.EpochCycles = int64(cfg.TRC) * 2400 // scaled epoch: 2400 activations
-	cfg.RowHammerThreshold = 240
+	cfg := attack.ScaleConfig() // scaled epoch: 2400 activations, T_RH = 240
 	alpha2 := attack.Alpha2For(cfg)
 
-	defenses := []struct {
-		name string
-		mit  func(*dram.System) memctrl.Mitigation
-	}{
-		{"no defense", nil},
-		{"victim-focused (Graphene-style)", func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewGraphene(sys,
-				mitigation.DefaultGrapheneThreshold(cfg.RowHammerThreshold), 1, 7)
-		}},
-		{"randomized row-swap (RRS)", func(sys *dram.System) memctrl.Mitigation {
-			r, err := core.New(sys, core.DefaultParams(sys.Config()))
-			if err != nil {
-				panic(err)
-			}
-			return r
-		}},
+	defenses := []struct{ label, name string }{
+		{"no defense", service.MitNone},
+		{"victim-focused (Graphene-style)", service.MitGraphene},
+		{"randomized row-swap (RRS)", service.MitRRS},
 	}
 	patterns := []func() attack.Pattern{
 		func() attack.Pattern { return attack.NewDoubleSided(100) },
@@ -55,9 +37,13 @@ func main() {
 	fmt.Printf("%-34s %-18s %s\n", "defense", "double-sided", "half-double")
 	fmt.Printf("%-34s %-18s %s\n", "-------", "------------", "-----------")
 	for _, d := range defenses {
+		mit, err := service.MitigationFactory(d.name, 1, attack.BlockHammerBlacklist)
+		if err != nil {
+			log.Fatal(err)
+		}
 		cells := make([]string, 0, 2)
 		for _, mk := range patterns {
-			ctl, fm := attack.NewSystem(cfg, 0, alpha2, d.mit)
+			ctl, fm := attack.NewSystem(cfg, 0, alpha2, mit)
 			res := attack.Run(ctl, fm, mk(), attack.Options{Epochs: 3})
 			if res.Defended() {
 				cells = append(cells, "defended")
@@ -65,7 +51,7 @@ func main() {
 				cells = append(cells, fmt.Sprintf("%d FLIPS", res.Flips))
 			}
 		}
-		fmt.Printf("%-34s %-18s %s\n", d.name, cells[0], cells[1])
+		fmt.Printf("%-34s %-18s %s\n", d.label, cells[0], cells[1])
 	}
 
 	fmt.Println()

@@ -3,28 +3,14 @@ package attack
 import (
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/mitigation"
 )
 
-// testConfig scales the system so one epoch holds 2400 activations and
-// T_RH = 240 (T_RRS = 40). The scale preserves the full-scale design's
-// proportions where it matters for security margins: ACT_max grows with
-// T_RH squared so that swap-transfer disturbance keeps the same share of
-// the flip budget as at paper scale.
-func testConfig() config.Config {
-	cfg := config.Default()
-	cfg.RowsPerBank = 4 << 10
-	cfg.EpochCycles = int64(cfg.TRC) * 2400
-	cfg.RowHammerThreshold = 240
-	return cfg
-}
-
 // testAlpha2 rescales the distance-2 coupling for the shrunken epoch.
-func testAlpha2() float64 { return Alpha2For(testConfig()) }
+func testAlpha2() float64 { return Alpha2For(ScaleConfig()) }
 
 // Mitigation factories for the defense matrix.
 func noDefense(*dram.System) memctrl.Mitigation { return nil }
@@ -61,7 +47,7 @@ func blockhammerDefense(sys *dram.System) memctrl.Mitigation {
 // --- Fault model unit tests ---
 
 func TestFaultModelDistanceOneAccumulates(t *testing.T) {
-	sys := dram.MustNew(testConfig())
+	sys := dram.MustNew(ScaleConfig())
 	fm := NewFaultModel(sys, 48, -1)
 	id := dram.BankID{}
 	for i := 0; i < 10; i++ {
@@ -79,7 +65,7 @@ func TestFaultModelDistanceOneAccumulates(t *testing.T) {
 }
 
 func TestFaultModelActivationRestoresOwnRow(t *testing.T) {
-	sys := dram.MustNew(testConfig())
+	sys := dram.MustNew(ScaleConfig())
 	fm := NewFaultModel(sys, 48, -1)
 	id := dram.BankID{}
 	for i := 0; i < 10; i++ {
@@ -96,7 +82,7 @@ func TestFaultModelActivationRestoresOwnRow(t *testing.T) {
 }
 
 func TestFaultModelDistanceTwoCoupling(t *testing.T) {
-	sys := dram.MustNew(testConfig())
+	sys := dram.MustNew(ScaleConfig())
 	fm := NewFaultModel(sys, 48, 0.01)
 	id := dram.BankID{}
 	for i := 0; i < 100; i++ {
@@ -108,7 +94,7 @@ func TestFaultModelDistanceTwoCoupling(t *testing.T) {
 }
 
 func TestFaultModelFlipAtThreshold(t *testing.T) {
-	sys := dram.MustNew(testConfig())
+	sys := dram.MustNew(ScaleConfig())
 	fm := NewFaultModel(sys, 48, -1)
 	id := dram.BankID{}
 	for i := 0; i < 48; i++ {
@@ -129,7 +115,7 @@ func TestFaultModelFlipAtThreshold(t *testing.T) {
 }
 
 func TestFaultModelEpochResetPreventsSlowAccumulation(t *testing.T) {
-	sys := dram.MustNew(testConfig())
+	sys := dram.MustNew(ScaleConfig())
 	fm := NewFaultModel(sys, 48, -1)
 	id := dram.BankID{}
 	for epoch := 0; epoch < 4; epoch++ {
@@ -144,7 +130,7 @@ func TestFaultModelEpochResetPreventsSlowAccumulation(t *testing.T) {
 }
 
 func TestFaultModelEdgeRows(t *testing.T) {
-	cfg := testConfig()
+	cfg := ScaleConfig()
 	sys := dram.MustNew(cfg)
 	fm := NewFaultModel(sys, 48, 0.01)
 	id := dram.BankID{}
@@ -157,7 +143,7 @@ func TestFaultModelEdgeRows(t *testing.T) {
 }
 
 func TestFaultModelDefaultThresholdFromConfig(t *testing.T) {
-	cfg := testConfig()
+	cfg := ScaleConfig()
 	sys := dram.MustNew(cfg)
 	fm := NewFaultModel(sys, 0, 0)
 	if want := DoubleSidedFactor * float64(cfg.RowHammerThreshold); fm.TRH != want {
@@ -234,7 +220,7 @@ func TestRandomChaseSpendsTPerRow(t *testing.T) {
 // --- End-to-end defense matrix (Figure 1 / Table 7) ---
 
 func TestNoDefenseDoubleSidedFlips(t *testing.T) {
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), noDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), noDefense)
 	res := Run(ctl, fm, NewDoubleSided(100), Options{Epochs: 1})
 	if res.Defended() {
 		t.Fatal("double-sided attack caused no flips without a defense")
@@ -245,8 +231,8 @@ func TestNoDefenseDoubleSidedFlips(t *testing.T) {
 }
 
 func TestNoDefenseSingleSidedFlips(t *testing.T) {
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), noDefense)
-	res := Run(ctl, fm, NewSingleSided(100, testConfig().RowsPerBank), Options{Epochs: 1})
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), noDefense)
+	res := Run(ctl, fm, NewSingleSided(100, ScaleConfig().RowsPerBank), Options{Epochs: 1})
 	if res.Defended() {
 		t.Fatal("single-sided attack caused no flips without a defense")
 	}
@@ -254,12 +240,12 @@ func TestNoDefenseSingleSidedFlips(t *testing.T) {
 
 func TestGrapheneDefendsClassicPatterns(t *testing.T) {
 	for _, mk := range []func() Pattern{
-		func() Pattern { return NewSingleSided(100, testConfig().RowsPerBank) },
+		func() Pattern { return NewSingleSided(100, ScaleConfig().RowsPerBank) },
 		func() Pattern { return NewDoubleSided(100) },
 		func() Pattern { return NewManySided(100, 8) },
 	} {
 		p := mk()
-		ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), grapheneDefense)
+		ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), grapheneDefense)
 		res := Run(ctl, fm, p, Options{Epochs: 3})
 		if !res.Defended() {
 			t.Errorf("Graphene failed against %s: %d flips", p.Name(), res.Flips)
@@ -271,7 +257,7 @@ func TestGrapheneDefendsClassicPatterns(t *testing.T) {
 // (Figure 1c): the victim-focused mitigation's own refreshes hammer the
 // distance-two victim.
 func TestGrapheneLosesToHalfDouble(t *testing.T) {
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), grapheneDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), grapheneDefense)
 	res := Run(ctl, fm, NewHalfDouble(100), Options{Epochs: 3})
 	if res.Defended() {
 		t.Fatal("Half-Double did not defeat victim-focused mitigation")
@@ -291,7 +277,7 @@ func TestGrapheneLosesToHalfDouble(t *testing.T) {
 func TestIdealVFMLosesToHalfDouble(t *testing.T) {
 	// Even idealized (perfect, free) victim-focused tracking loses to
 	// Half-Double — Table 7's point.
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), idealDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), idealDefense)
 	res := Run(ctl, fm, NewHalfDouble(100), Options{Epochs: 3})
 	if res.Defended() {
 		t.Fatal("Half-Double did not defeat idealized victim-focused mitigation")
@@ -299,7 +285,7 @@ func TestIdealVFMLosesToHalfDouble(t *testing.T) {
 }
 
 func TestIdealVFMDefendsDoubleSided(t *testing.T) {
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), idealDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), idealDefense)
 	res := Run(ctl, fm, NewDoubleSided(100), Options{Epochs: 3})
 	if !res.Defended() {
 		t.Fatalf("ideal VFM failed double-sided: %d flips", res.Flips)
@@ -307,7 +293,7 @@ func TestIdealVFMDefendsDoubleSided(t *testing.T) {
 }
 
 func TestRRSDefendsAllPatterns(t *testing.T) {
-	cfg := testConfig()
+	cfg := ScaleConfig()
 	for _, mk := range []func() Pattern{
 		func() Pattern { return NewSingleSided(100, cfg.RowsPerBank) },
 		func() Pattern { return NewDoubleSided(100) },
@@ -326,7 +312,7 @@ func TestRRSDefendsAllPatterns(t *testing.T) {
 }
 
 func TestPARADefendsDoubleSided(t *testing.T) {
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), paraDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), paraDefense)
 	res := Run(ctl, fm, NewDoubleSided(100), Options{Epochs: 3})
 	if !res.Defended() {
 		t.Fatalf("PARA failed double-sided: %d flips", res.Flips)
@@ -334,7 +320,7 @@ func TestPARADefendsDoubleSided(t *testing.T) {
 }
 
 func TestBlockHammerDefendsDoubleSided(t *testing.T) {
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), blockhammerDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), blockhammerDefense)
 	res := Run(ctl, fm, NewDoubleSided(100), Options{Epochs: 3})
 	if !res.Defended() {
 		t.Fatalf("BlockHammer failed double-sided: %d flips", res.Flips)
@@ -345,7 +331,7 @@ func TestBlockHammerDefendsDoubleSided(t *testing.T) {
 // under attack, BlockHammer throttles the attacker's activation stream by
 // orders of magnitude while RRS costs only a small factor.
 func TestDoSComparison(t *testing.T) {
-	cfg := testConfig()
+	cfg := ScaleConfig()
 	rate := func(mit func(*dram.System) memctrl.Mitigation) float64 {
 		ctl, fm := NewSystem(cfg, 0, testAlpha2(), mit)
 		res := Run(ctl, fm, NewDoubleSided(100), Options{Epochs: 2})
@@ -375,7 +361,7 @@ func TestRandomChaseLongRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long attack run skipped in -short")
 	}
-	cfg := testConfig()
+	cfg := ScaleConfig()
 	ctl, fm := NewSystem(cfg, 0, testAlpha2(), rrsDefense)
 	res := Run(ctl, fm, NewRandomChase(40, cfg.RowsPerBank, 4242), Options{Epochs: 20})
 	if !res.Defended() {
@@ -384,7 +370,7 @@ func TestRandomChaseLongRun(t *testing.T) {
 }
 
 func TestRunRespectsMaxAccesses(t *testing.T) {
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), noDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), noDefense)
 	res := Run(ctl, fm, NewDoubleSided(100), Options{Epochs: 10, MaxAccesses: 50})
 	if res.Accesses != 50 {
 		t.Fatalf("accesses = %d, want 50", res.Accesses)
@@ -392,7 +378,7 @@ func TestRunRespectsMaxAccesses(t *testing.T) {
 }
 
 func TestRunStopAtFirstFlip(t *testing.T) {
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), noDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), noDefense)
 	res := Run(ctl, fm, NewDoubleSided(100), Options{Epochs: 10, StopAtFirstFlip: true})
 	if res.Flips != 1 {
 		t.Fatalf("flips = %d, want exactly 1 with StopAtFirstFlip", res.Flips)
@@ -404,7 +390,7 @@ func TestRunStopAtFirstFlip(t *testing.T) {
 // bus, so the per-bank activation rate drops well below the single-bank
 // attack's — the all-bank attack is slower, not 16x faster.
 func TestAllBankAttackCrushesDutyCycle(t *testing.T) {
-	cfg := testConfig()
+	cfg := ScaleConfig()
 
 	single, fm1 := NewSystem(cfg, 0, testAlpha2(), rrsDefense)
 	sres := Run(single, fm1, NewDoubleSided(100), Options{Epochs: 2})
@@ -450,7 +436,7 @@ func TestBlacksmithNonUniformFrequencies(t *testing.T) {
 }
 
 func TestRRSDefendsBlacksmith(t *testing.T) {
-	cfg := testConfig()
+	cfg := ScaleConfig()
 	ctl, fm := NewSystem(cfg, 0, testAlpha2(), rrsDefense)
 	res := Run(ctl, fm, NewBlacksmith(100, 8, 7), Options{Epochs: 3})
 	if !res.Defended() {
@@ -461,7 +447,7 @@ func TestRRSDefendsBlacksmith(t *testing.T) {
 func TestGrapheneDefendsBlacksmith(t *testing.T) {
 	// Misra-Gries bounds counts regardless of access pattern shape, so
 	// frequency fuzzing gains nothing against a correctly sized tracker.
-	ctl, fm := NewSystem(testConfig(), 0, testAlpha2(), grapheneDefense)
+	ctl, fm := NewSystem(ScaleConfig(), 0, testAlpha2(), grapheneDefense)
 	res := Run(ctl, fm, NewBlacksmith(100, 8, 7), Options{Epochs: 3})
 	if !res.Defended() {
 		t.Fatalf("Blacksmith-style pattern broke Graphene: %d flips", res.Flips)

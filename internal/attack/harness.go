@@ -98,6 +98,23 @@ func Run(ctl *memctrl.Controller, fm *FaultModel, p Pattern, opts Options) Resul
 // Defended reports whether the defense held (no flips).
 func (r Result) Defended() bool { return r.Flips == 0 }
 
+// ScaleConfig is the system the attack experiments run on: a 4K-row bank,
+// 2400 activations per epoch and T_RH = 240. ACT_max scales with T_RH
+// squared here, so swap-transfer disturbance keeps the share of the flip
+// budget it has at the paper's full scale.
+func ScaleConfig() config.Config {
+	cfg := config.Default()
+	cfg.RowsPerBank = 4 << 10
+	cfg.EpochCycles = int64(cfg.TRC) * 2400
+	cfg.RowHammerThreshold = 240
+	return cfg
+}
+
+// BlockHammerBlacklist is BlockHammer's blacklist threshold on
+// ScaleConfig's system, a quarter of its T_RH. Callers pass it to the
+// defense table at scale 1, where it is used undivided.
+const BlockHammerBlacklist = 60
+
 // NewSystem builds a DRAM system, fault model and controller wired with a
 // mitigation — the standard fixture for attack experiments. mitigation is
 // a factory so it can wrap the newly built *dram.System; nil means no

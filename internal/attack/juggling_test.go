@@ -7,7 +7,7 @@ import (
 )
 
 func TestNearMissCounters(t *testing.T) {
-	cfg := testConfig()
+	cfg := ScaleConfig()
 	sys := dram.MustNew(cfg)
 	fm := NewFaultModel(sys, 100, -1) // flip at 100, no distance-2 coupling
 	id := dram.BankID{}
@@ -71,7 +71,7 @@ func TestJugglingAlternatesOccupants(t *testing.T) {
 // fallback relies on: for RRS, Remap IS the occupant map (swapped pairs
 // map to each other), and for identity defenses it is trivially so.
 func TestOccupantOracleFallsBackToRemap(t *testing.T) {
-	cfg := testConfig()
+	cfg := ScaleConfig()
 	ctl, _ := NewSystem(cfg, 0, -1, nil) // no mitigation: identity remap
 	occ := OccupantOracle(ctl, dram.BankID{})
 	if occ(123) != 123 {

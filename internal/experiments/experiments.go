@@ -36,8 +36,9 @@ type Scale struct {
 	// and a shared service.Manager's RunSweep lets experiments reuse each
 	// other's runs. nil runs each grid on a fresh in-process Manager.
 	// Experiments that build mitigations no Spec can name (the
-	// probabilistic, RowClone and attack experiments) call sim and attack
-	// directly.
+	// probabilistic, RowClone and attack-detection experiments) call sim
+	// and attack directly, and the attack experiments run the table's
+	// defenses on the attack substrate.
 	Sweeper func(service.SweepSpec) (map[string]sim.Result, error)
 }
 
@@ -64,25 +65,10 @@ func (s Scale) workloads() []trace.Workload {
 	return trace.Table3Workloads()
 }
 
-// options builds sim options for one workload at this scale.
-func (s Scale) options(w trace.Workload) sim.Options {
-	cfg := s.Config()
-	epochs := s.Epochs
-	if epochs < 1 {
-		epochs = 1
-	}
-	return sim.Options{
-		Config:              cfg,
-		Workloads:           []trace.Workload{w},
-		InstructionsPerCore: 1 << 62, // time-bounded, not instruction-bounded
-		CycleLimit:          int64(epochs) * cfg.EpochCycles,
-		Seed:                s.Seed,
-	}
-}
-
 // spec builds the service job spec for one sweep point: the given
-// workloads at this scale under a named mitigation. It describes the
-// same run as options() plus service.MitigationFactory.
+// workloads at this scale under a named mitigation. Its Options method
+// gives the sim.Options of the same run, for experiments that swap in a
+// defense no spec can name.
 func (s Scale) spec(mit string, blacklist uint32, ws ...trace.Workload) service.Spec {
 	epochs := s.Epochs
 	if epochs < 1 {

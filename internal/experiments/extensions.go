@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -38,6 +37,10 @@ func TrackerVsProbabilistic(s Scale, workload string) ([]ProbabilisticRow, *stat
 		// Matching PARA-grade protection needs p ~ 12/T_RH per ACT.
 		{"state-less (p=12/T_RH)", 12.0 / float64(s.Config().RowHammerThreshold)},
 	}
+	opts, err := s.spec(service.MitNone, 0, w).Options()
+	if err != nil {
+		return nil, nil, err
+	}
 	var rows []ProbabilisticRow
 	t := stats.NewTable("Variant", "Swaps/epoch", "Normalized perf")
 	for _, v := range variants {
@@ -51,7 +54,7 @@ func TrackerVsProbabilistic(s Scale, workload string) ([]ProbabilisticRow, *stat
 			}
 			return r
 		}
-		norm, _, mitRes, err := sim.NormalizedPerformance(s.options(w), factory)
+		norm, _, mitRes, err := sim.NormalizedPerformance(opts, factory)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -92,7 +95,7 @@ func AttackDetection(epochs int) (DetectionResult, *stats.Table) {
 	}
 
 	// Attack run: shrunken randomization space (256 rows).
-	acfg := attackScaleConfig()
+	acfg := attack.ScaleConfig()
 	acfg.RowsPerBank = 256
 	ctl, fm := attack.NewSystem(acfg, 0, attack.Alpha2For(acfg), detectingRRS)
 	chase := attack.NewRandomChase(acfg.RowHammerThreshold/6, acfg.RowsPerBank, 0xDE7)
@@ -101,7 +104,7 @@ func AttackDetection(epochs int) (DetectionResult, *stats.Table) {
 
 	// Benign run: a few hot rows on the standard bank, each swapping
 	// roughly once per epoch.
-	bcfg := attackScaleConfig()
+	bcfg := attack.ScaleConfig()
 	ctl2, fm2 := attack.NewSystem(bcfg, 0, attack.Alpha2For(bcfg), detectingRRS)
 	benign := attack.NewManySided(10, 4)
 	attack.Run(ctl2, fm2, benign, attack.Options{Epochs: epochs})
@@ -161,11 +164,7 @@ type RowCloneRow struct {
 // time of swap transfers. It measures the attacker's slowdown with the
 // swap-buffer data path versus a 10x faster RowClone-style path.
 func RowCloneAblation(epochs int) ([]RowCloneRow, *stats.Table) {
-	cfg := attackScaleConfig()
-	alpha2 := attack.Alpha2For(cfg)
-
-	base := func(sys *dram.System) memctrl.Mitigation { return nil }
-	bres := runWith(cfg, alpha2, base, epochs)
+	bres := runAttack(nil, attack.NewDoubleSided(100), epochs)
 
 	variants := []struct {
 		label string
@@ -191,7 +190,7 @@ func RowCloneAblation(epochs int) ([]RowCloneRow, *stats.Table) {
 			}
 			return r
 		}
-		res := runWith(cfg, alpha2, factory, epochs)
+		res := runAttack(factory, attack.NewDoubleSided(100), epochs)
 		slow := 1.0
 		if res.AccessRate > 0 {
 			slow = bres.AccessRate / res.AccessRate
@@ -201,10 +200,4 @@ func RowCloneAblation(epochs int) ([]RowCloneRow, *stats.Table) {
 		t.AddRow(v.label, fmt.Sprintf("%.2fx", slow), res.Defended())
 	}
 	return rows, t
-}
-
-// runWith runs the standard double-sided attack against a mitigation.
-func runWith(cfg config.Config, alpha2 float64, mit mitigationFactory, epochs int) attack.Result {
-	ctl, fm := attack.NewSystem(cfg, 0, alpha2, mit)
-	return attack.Run(ctl, fm, attack.NewDoubleSided(100), attack.Options{Epochs: epochs})
 }

@@ -88,9 +88,9 @@ func normalizedPerf(s Scale, mit string, blacklist uint32, label string) ([]Figu
 // random-chase pattern) and reports what it achieves: every chased row is
 // swapped away after T_RRS activations and no bit flips occur.
 func Figure7(epochs int) (attack.Result, *stats.Table) {
-	cfg := attackScaleConfig()
+	cfg := attack.ScaleConfig()
 	p := attack.NewRandomChase(cfg.RowHammerThreshold/6, cfg.RowsPerBank, 0xF16)
-	ctl, fm := attack.NewSystem(cfg, 0, attack.Alpha2For(cfg), attackRRSFactory)
+	ctl, fm := attack.NewSystem(cfg, 0, attack.Alpha2For(cfg), attackFactoryFor(service.MitRRS))
 	res := attack.Run(ctl, fm, p, attack.Options{Epochs: epochs})
 
 	rrs := ctl.Mitigation().(*core.RRS)
@@ -288,17 +288,17 @@ type DoSRow struct {
 func DoS(epochs int) ([]DoSRow, *stats.Table) {
 	defenses := []struct {
 		label string
-		mit   mitigationFactory
+		mit   string
 	}{
-		{"None", noFactory},
-		{"RRS", attackRRSFactory},
-		{"BlockHammer", attackBlockHammerFactory},
+		{"None", service.MitNone},
+		{"RRS", service.MitRRS},
+		{"BlockHammer", service.MitBlockHammer},
 	}
 	var rows []DoSRow
 	var base float64
 	t := stats.NewTable("Defense", "Attacker access rate", "Attacker slowdown")
 	for _, d := range defenses {
-		res := runAttack(d.mit, attack.NewDoubleSided(100), epochs)
+		res := runAttack(attackFactoryFor(d.mit), attack.NewDoubleSided(100), epochs)
 		slow := 1.0
 		if d.label == "None" {
 			base = res.AccessRate

@@ -60,7 +60,10 @@ func TestSpecPathMatchesLocalRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := s.options(w)
+	opts, err := s.spec(service.MitNone, 0, w).Options()
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts.Mitigation = func(sys *dram.System) memctrl.Mitigation {
 		r, err := core.New(sys, core.ScaledParams(sys.Config()))
 		if err != nil {

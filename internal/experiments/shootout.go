@@ -7,10 +7,10 @@ import (
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/invariant"
-	"repro/internal/memctrl"
 	"repro/internal/mitigation"
 	"repro/internal/power"
 	"repro/internal/service"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracker"
 )
@@ -54,13 +54,6 @@ func (r ShootoutRow) Defended() bool {
 		}
 	}
 	return true
-}
-
-// shootoutParanoid is the paranoid wiring the zoo defenses and core.RRS
-// share (the same contract sim.Run discovers by type assertion).
-type shootoutParanoid interface {
-	EnableParanoid(*invariant.Engine)
-	Err() error
 }
 
 // Shootout runs the cross-defense comparison: every mitigation under the
@@ -164,18 +157,13 @@ func Shootout(s Scale, mitigations []string, paranoid bool) ([]ShootoutRow, *sta
 // optionally under the invariant engine, and returns the attack result
 // plus the fault model's near-miss count.
 func runShootoutAttack(mit, att string, paranoid bool) (attack.Result, int64, error) {
-	cfg := attackScaleConfig()
+	cfg := attack.ScaleConfig()
 	ctl, fm := attack.NewSystem(cfg, 0, attack.Alpha2For(cfg), attackFactoryFor(mit))
 
 	var eng *invariant.Engine
 	if paranoid {
 		eng = invariant.NewEngine()
-		if pm, ok := ctl.Mitigation().(shootoutParanoid); ok {
-			pm.EnableParanoid(eng)
-		} else {
-			ctl.System().EnableParanoid(eng)
-			eng.Register("dram/structure", ctl.System().CheckInvariants)
-		}
+		sim.EnableParanoid(eng, ctl.System(), ctl.Mitigation())
 	}
 
 	var p attack.Pattern
@@ -201,57 +189,6 @@ func runShootoutAttack(mit, att string, paranoid bool) (attack.Result, int64, er
 		}
 	}
 	return res, fm.NearMisses(), nil
-}
-
-// attackFactoryFor builds the defense for the attack substrate. The swap
-// defenses use their unscaled (full-cost) parameters, matching the other
-// attack experiments: the attack config already rescales T_RH, and the
-// swap-cost/epoch proportion is not what the security leg measures.
-func attackFactoryFor(name string) mitigationFactory {
-	switch name {
-	case service.MitNone:
-		return noFactory
-	case service.MitRRS:
-		return attackRRSFactory
-	case service.MitRRSCAM:
-		return attackRRSCAMFactory
-	case service.MitPARA:
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewPARA(sys,
-				mitigation.DefaultPARAProbability(sys.Config().RowHammerThreshold), 7)
-		}
-	case service.MitGraphene:
-		return grapheneFactory
-	case service.MitIdeal:
-		return idealFactory
-	case service.MitBlockHammer:
-		return attackBlockHammerFactory
-	case service.MitSRS:
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewSRS(sys, mitigation.DefaultSRSParams(sys.Config()))
-		}
-	case service.MitRubix:
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewRubix(sys,
-				mitigation.DefaultPARAProbability(sys.Config().RowHammerThreshold), 11)
-		}
-	case service.MitMINT:
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewMINT(sys, 13)
-		}
-	case service.MitPrIDE:
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewPrIDE(sys,
-				mitigation.DefaultPrIDEProbability(sys.Config()), 17)
-		}
-	case service.MitDAPPER:
-		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewDAPPER(sys,
-				mitigation.DefaultPrIDEProbability(sys.Config()), 19)
-		}
-	default:
-		panic(fmt.Sprintf("experiments: no attack factory for %q", name))
-	}
 }
 
 // sramKBPerBank is the shootout's analytic per-bank SRAM cost at the

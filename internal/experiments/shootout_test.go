@@ -15,7 +15,7 @@ import (
 // leg attacks rrs-cam over the tracker its performance leg runs: every
 // bank of the attack cell's RRS holds the reference CAM.
 func TestShootoutRRSCAMAttacksCAMTracker(t *testing.T) {
-	cfg := attackScaleConfig()
+	cfg := attack.ScaleConfig()
 	ctl, _ := attack.NewSystem(cfg, 0, attack.Alpha2For(cfg), attackFactoryFor(service.MitRRSCAM))
 	r, ok := ctl.Mitigation().(*core.RRS)
 	if !ok {
@@ -85,7 +85,7 @@ func TestZooDoubleSidedAtDesignThreshold(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.mit, func(t *testing.T) {
-			cfg := attackScaleConfig()
+			cfg := attack.ScaleConfig()
 			if c.trh > 0 {
 				cfg.RowHammerThreshold = c.trh
 			}

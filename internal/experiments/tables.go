@@ -171,7 +171,7 @@ type Table7Row struct {
 // RRS. The attack substrate runs at the attack-test scale (T_RH scaled so
 // the disturbance model's margins match full scale).
 func Table7() ([]Table7Row, *stats.Table) {
-	cfg := attackScaleConfig()
+	cfg := attack.ScaleConfig()
 	alpha2 := attack.Alpha2For(cfg)
 
 	var rows []Table7Row
@@ -180,8 +180,8 @@ func Table7() ([]Table7Row, *stats.Table) {
 		name string
 		mit  mitigationFactory
 	}{
-		{"Victim-Focused (ideal)", idealFactory},
-		{"RRS", attackRRSFactory},
+		{"Victim-Focused (ideal)", attackFactoryFor(service.MitIdeal)},
+		{"RRS", attackFactoryFor(service.MitRRS)},
 	} {
 		var cells []string
 		for _, mk := range []func() attack.Pattern{

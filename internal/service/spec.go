@@ -232,10 +232,14 @@ func (s Spec) Options() (sim.Options, error) {
 
 // MitigationFactory maps a symbolic mitigation name to a constructor
 // over a fresh DRAM system. The same table serves rrs-sim's -mitigation
-// flag and the job service, so a served job and a local CLI run with the
-// same knobs build byte-identical defenses. The BlockHammer blacklist
-// threshold is given at full scale and divided by the epoch scale, like
-// T_RH.
+// flag, the job service and the attack substrate (rrs-attack, the attack
+// experiments, the shootout's security leg), so a served job and a local
+// run with the same knobs build byte-identical defenses. The BlockHammer
+// blacklist threshold is given at full scale and divided by the epoch
+// scale, like T_RH. Above scale 1 RRS and SRS shrink their swap cost
+// with the epoch (core.ScaledParams, mitigation.ScaledSRSParams); at
+// scale 1 they keep the cost the system's own timing gives, as an attack
+// configuration with its own shortened epoch needs.
 func MitigationFactory(name string, scale int, blacklist uint32) (func(*dram.System) memctrl.Mitigation, error) {
 	if scale < 1 {
 		scale = 1
@@ -246,7 +250,10 @@ func MitigationFactory(name string, scale int, blacklist uint32) (func(*dram.Sys
 	case MitRRS, MitRRSCAM:
 		cam := name == MitRRSCAM
 		return func(sys *dram.System) memctrl.Mitigation {
-			p := core.ScaledParams(sys.Config())
+			p := core.DefaultParams(sys.Config())
+			if scale > 1 {
+				p = core.ScaledParams(sys.Config())
+			}
 			p.UseCAMTracker = cam
 			r, err := core.New(sys, p)
 			if err != nil {
@@ -280,7 +287,11 @@ func MitigationFactory(name string, scale int, blacklist uint32) (func(*dram.Sys
 		}, nil
 	case MitSRS:
 		return func(sys *dram.System) memctrl.Mitigation {
-			return mitigation.NewSRS(sys, mitigation.ScaledSRSParams(sys.Config()))
+			p := mitigation.DefaultSRSParams(sys.Config())
+			if scale > 1 {
+				p = mitigation.ScaledSRSParams(sys.Config())
+			}
+			return mitigation.NewSRS(sys, p)
 		}, nil
 	case MitRubix:
 		return func(sys *dram.System) memctrl.Mitigation {

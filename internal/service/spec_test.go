@@ -3,7 +3,60 @@ package service
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/dram"
+	"repro/internal/mitigation"
 )
+
+// TestScaleOneSwapDefensesKeepScaledParams pins that the table's scale-1
+// branch (DefaultParams, DefaultSRSParams) builds the same swap defenses
+// a served scale-1 spec built with ScaledParams and ScaledSRSParams: at
+// config.Default() both finalize to identical parameters.
+func TestScaleOneSwapDefensesKeepScaledParams(t *testing.T) {
+	cfg := config.Default()
+	scaled, err := core.ScaledParams(cfg).Finalize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := core.DefaultParams(cfg).Finalize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scaled != def {
+		t.Errorf("RRS at scale 1: ScaledParams finalize to %+v, DefaultParams to %+v", scaled, def)
+	}
+	sys := dram.MustNew(cfg)
+	srsScaled := mitigation.NewSRS(sys, mitigation.ScaledSRSParams(cfg)).Params()
+	srsDef := mitigation.NewSRS(sys, mitigation.DefaultSRSParams(cfg)).Params()
+	if srsScaled != srsDef {
+		t.Errorf("SRS at scale 1: ScaledSRSParams give %+v, DefaultSRSParams %+v", srsScaled, srsDef)
+	}
+
+	// The served specs themselves: the table's rrs, rrs-cam and srs at
+	// scale 1 carry the parameters checked above.
+	for _, name := range []string{MitRRS, MitRRSCAM, MitSRS} {
+		f, err := MitigationFactory(name, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch m := f(dram.MustNew(cfg)).(type) {
+		case *core.RRS:
+			want := scaled
+			want.UseCAMTracker = name == MitRRSCAM
+			if got := m.Params(); got != want {
+				t.Errorf("%s at scale 1 built %+v, want %+v", name, got, want)
+			}
+		case *mitigation.SRS:
+			if got := m.Params(); got != srsScaled {
+				t.Errorf("%s at scale 1 built %+v, want %+v", name, got, srsScaled)
+			}
+		default:
+			t.Errorf("%s built %T", name, m)
+		}
+	}
+}
 
 func TestSpecHashCanonical(t *testing.T) {
 	// Spelling out the defaults must not change the job's identity.

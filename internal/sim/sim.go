@@ -169,6 +169,20 @@ type paranoidMitigation interface {
 	Err() error
 }
 
+// EnableParanoid attaches eng to a run of mit over sys. A mitigation
+// that owns its paranoid wiring registers its own checks plus the shared
+// DRAM catalog; any other run gets the DRAM checks alone. It returns the
+// run's latched-violation poll: the mitigation's Err, else eng.Err.
+func EnableParanoid(eng *invariant.Engine, sys *dram.System, mit memctrl.Mitigation) func() error {
+	if pm, ok := mit.(paranoidMitigation); ok {
+		pm.EnableParanoid(eng)
+		return pm.Err
+	}
+	sys.EnableParanoid(eng)
+	eng.Register("dram/structure", sys.CheckInvariants)
+	return eng.Err
+}
+
 // observableMitigation is implemented by mitigations that can emit
 // events into an obs.Recorder.
 type observableMitigation interface {
@@ -179,7 +193,7 @@ type observableMitigation interface {
 // accesses: step budget, wall-clock deadline, and the paranoid engine.
 type runGuards struct {
 	eng      *invariant.Engine
-	mit      paranoidMitigation
+	latched  func() error // the cheap latched-violation poll
 	maxSteps int64
 	deadline time.Time
 	polls    int64
@@ -195,11 +209,7 @@ func (g *runGuards) poll(accesses int64) error {
 	// The shadows and swap checks latch violations asynchronously; fail
 	// fast on the first. The full structural catalog is costlier (it
 	// sweeps tables and memos), so it runs on a sparser cadence.
-	if g.mit != nil {
-		if err := g.mit.Err(); err != nil {
-			return err
-		}
-	} else if err := g.eng.Err(); err != nil {
+	if err := g.latched(); err != nil {
 		return err
 	}
 	g.polls++
@@ -261,13 +271,7 @@ func Run(opts Options) (Result, error) {
 		}
 		if paranoid {
 			guards.eng = invariant.NewEngine()
-			if pm, ok := mit.(paranoidMitigation); ok {
-				pm.EnableParanoid(guards.eng)
-				guards.mit = pm
-			} else {
-				sys.EnableParanoid(guards.eng)
-				guards.eng.Register("dram/structure", sys.CheckInvariants)
-			}
+			guards.latched = EnableParanoid(guards.eng, sys, mit)
 		}
 	}
 
@@ -448,10 +452,8 @@ func Run(opts Options) (Result, error) {
 		if err := guards.eng.RunAll(); err != nil {
 			return Result{}, err
 		}
-		if guards.mit != nil {
-			if err := guards.mit.Err(); err != nil {
-				return Result{}, err
-			}
+		if err := guards.latched(); err != nil {
+			return Result{}, err
 		}
 		s := guards.eng.Summary()
 		res.Invariants = &s
